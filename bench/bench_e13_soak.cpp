@@ -120,9 +120,6 @@ class PerThreadTcpClient final : public client::AuctionClient {
       client::RequestId id) override {
     return connection().try_get(id);
   }
-  [[nodiscard]] client::ServiceStats stats() override {
-    return connection().stats();
-  }
   [[nodiscard]] obs::TelemetrySnapshot telemetry() override {
     return connection().telemetry();
   }

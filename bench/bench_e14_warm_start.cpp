@@ -43,7 +43,7 @@
 #include "bench_util.hpp"
 #include "core/auction_lp.hpp"
 #include "gen/scenario.hpp"
-#include "service/basis_cache.hpp"
+#include "service/auction_service.hpp"
 #include "support/fingerprint.hpp"
 #include "support/random.hpp"
 #include "wire/codec.hpp"
@@ -144,7 +144,7 @@ ChurnOutcome run_churn_stream(const AuctionInstance& base,
     // fingerprint, install the banked basis as a hint, re-bank the export.
     WarmStartContext context;
     service::BasisCacheEntry banked;
-    const std::string key = structural_fingerprint(churned).hex();
+    const Fingerprint key = structural_fingerprint(churned);
     if (const service::BasisCacheEntry* entry = cache.lookup(key)) {
       banked = *entry;
       context.hint = &banked.basis;

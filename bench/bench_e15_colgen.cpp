@@ -7,7 +7,7 @@
 // k <= 12 explicit-enumeration cap, so the only LP path is the restricted
 // master + pricing oracle. Cold, every arrival regrows its column set from
 // nothing, one oracle round at a time; warm, the per-structure column pool
-// (service/column_pool_cache.hpp, keyed by the structural fingerprint)
+// (the service's ColumnPoolCache, keyed by the structural fingerprint)
 // seeds the restricted master with the donor's generated columns and the
 // oracle usually just certifies optimality in a single round.
 //
@@ -45,7 +45,7 @@
 #include "bench_util.hpp"
 #include "core/asymmetric_colgen.hpp"
 #include "gen/scenario.hpp"
-#include "service/column_pool_cache.hpp"
+#include "service/auction_service.hpp"
 #include "support/fingerprint.hpp"
 #include "support/random.hpp"
 #include "wire/codec.hpp"
@@ -117,7 +117,7 @@ ChurnOutcome run_churn_stream(const AsymmetricInstance& base,
     // re-bank this run's export.
     WarmStartContext context;
     AsymmetricColumnPool banked;
-    const std::string key = structural_fingerprint(churned).hex();
+    const Fingerprint key = structural_fingerprint(churned);
     if (const AsymmetricColumnPool* pool = cache.lookup(key)) {
       banked = *pool;
       context.pool_hint = &banked;

@@ -66,8 +66,11 @@ class AuctionClient {
   /// std::invalid_argument.
   [[nodiscard]] virtual std::optional<SolveReport> try_get(RequestId id) = 0;
 
-  /// Service counters; through a FrontDoor these aggregate every backend.
-  [[nodiscard]] virtual ServiceStats stats() = 0;
+  /// Service counters, derived from telemetry() by service::stats_from;
+  /// through a FrontDoor they are every backend's counters summed.
+  [[nodiscard]] ServiceStats stats() {
+    return service::stats_from(telemetry());
+  }
 
   /// Telemetry export (obs/telemetry.hpp): the serviced side's metrics
   /// registry snapshot plus its recent spans. Through a FrontDoor this is

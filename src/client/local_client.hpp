@@ -39,8 +39,6 @@ class LocalClient final : public AuctionClient {
     return service_->try_get(id);
   }
 
-  [[nodiscard]] ServiceStats stats() override { return service_->stats(); }
-
   [[nodiscard]] obs::TelemetrySnapshot telemetry() override {
     return service_->telemetry();
   }

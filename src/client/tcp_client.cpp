@@ -152,23 +152,6 @@ std::optional<SolveReport> TcpClient::try_get(RequestId id) {
   return parse_report(mux_.call_sync(MessageType::kGet, encode_get(id, false)));
 }
 
-ServiceStats TcpClient::stats() {
-  const wire::Frame response = mux_.call_sync(MessageType::kStats, {});
-  if (response.type == MessageType::kError) {
-    throw_wire_error(response.payload);
-  }
-  if (response.type != MessageType::kStatsOk) {
-    throw std::runtime_error("tcp-client: unexpected stats response");
-  }
-  wire::Reader reader(response.payload);
-  (void)reader.u32();  // shard count: surfaced via the wire, unused here
-  const ServiceStats stats = wire::read_stats(reader);
-  if (reader.failed() || !reader.exhausted()) {
-    throw std::runtime_error("tcp-client: malformed stats payload");
-  }
-  return stats;
-}
-
 obs::TelemetrySnapshot TcpClient::telemetry() {
   const wire::Frame response = mux_.call_sync(MessageType::kGetTelemetry, {});
   if (response.type == MessageType::kError) {

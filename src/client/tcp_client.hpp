@@ -52,7 +52,6 @@ class TcpClient final : public AuctionClient {
                                  const SolveOptions& options = {}) override;
   [[nodiscard]] SolveReport get(RequestId id) override;
   [[nodiscard]] std::optional<SolveReport> try_get(RequestId id) override;
-  [[nodiscard]] ServiceStats stats() override;
   [[nodiscard]] obs::TelemetrySnapshot telemetry() override;
   void shutdown() override;
 

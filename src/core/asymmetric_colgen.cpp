@@ -80,7 +80,7 @@ FractionalSolution solve_asymmetric_lp_colgen(
   std::vector<std::pair<std::uint32_t, Bundle>> meaning;
   std::unordered_set<std::uint64_t> known;
 
-  std::vector<lp::SeedColumn> seeds;
+  std::vector<lp::PricedColumn> seeds;
   const AsymmetricColumnPool* pool = options.pool;
   const bool pool_compatible = pool != nullptr && !pool->empty() &&
                                pool->num_bidders == n &&
@@ -96,7 +96,7 @@ FractionalSolution solve_asymmetric_lp_colgen(
       if (v >= n || t == kEmptyBundle || t >= num_bundles(k)) continue;
       if (instance.value(v, t) <= 0.0) continue;
       if (!known.insert(column_key(v, t)).second) continue;
-      seeds.push_back(lp::SeedColumn{
+      seeds.push_back(lp::PricedColumn{
           column_cost(v, t),
           asymmetric_bundle_column(instance, static_cast<int>(v), t)});
       meaning.emplace_back(v, t);
@@ -178,7 +178,6 @@ FractionalSolution solve_asymmetric_lp_colgen(
   };
 
   lp::BendersOptions benders;
-  benders.max_rounds = options.max_rounds;
   benders.simplex = options.simplex;
   benders.basis_hint = pool_compatible ? &pool->basis : nullptr;
   lp::BasisSnapshot terminal_basis;

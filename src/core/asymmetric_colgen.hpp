@@ -69,8 +69,8 @@ struct AsymmetricColGenStats {
 /// the oracle delegates to Valuation::demand closed forms (unlifted).
 inline constexpr int kLiftedDemandChannels = 20;
 
+/// The pricing-round cap is lp::BendersOptions' default.
 struct AsymmetricColGenOptions {
-  int max_rounds = 500;
   lp::SimplexOptions simplex = {};
   /// Donor pool to seed the master with; ignored when its dimensions do
   /// not match the instance. The donor basis warm-starts the first solve

@@ -272,7 +272,7 @@ lp::BasisSnapshot remap_basis_for_removed_bidder(
 
 FractionalSolution solve_auction_lp_colgen(
     const AuctionInstance& instance, ColGenStats* stats,
-    lp::ColumnGenerationOptions options) {
+    lp::BendersOptions options) {
   const std::size_t n = instance.num_bidders();
   const int k = instance.num_channels();
   const auto& graph = instance.graph();
@@ -318,8 +318,8 @@ FractionalSolution solve_auction_lp_colgen(
     return columns;
   };
 
-  const lp::ColumnGenerationResult result =
-      lp::solve_with_column_generation(master, oracle, options);
+  const lp::BendersResult result =
+      lp::solve_with_benders(master, oracle, {}, options);
   if (stats != nullptr) {
     stats->rounds = result.rounds;
     stats->columns_generated = result.columns_added;

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "core/instance.hpp"
-#include "lp/column_generation.hpp"
+#include "lp/benders.hpp"
 #include "lp/lp_model.hpp"
 
 namespace ssa {
@@ -135,9 +135,10 @@ struct ColGenStats {
   bool proved_optimal = false;
 };
 
-/// Solves the LP with demand-oracle column generation; works for any k.
+/// Solves the LP with demand-oracle column generation (the unseeded,
+/// unhinted lp::solve_with_benders loop); works for any k.
 [[nodiscard]] FractionalSolution solve_auction_lp_colgen(
     const AuctionInstance& instance, ColGenStats* stats = nullptr,
-    lp::ColumnGenerationOptions options = {});
+    lp::BendersOptions options = {});
 
 }  // namespace ssa

@@ -28,7 +28,7 @@ PipelineResult solve_pipeline(const AuctionInstance& instance,
   const Deadline deadline = Deadline::after(options.time_budget_seconds);
   lp::SimplexOptions simplex;
   simplex.deadline = deadline;
-  lp::ColumnGenerationOptions colgen;
+  lp::BendersOptions colgen;
   colgen.simplex = simplex;
   ColGenStats colgen_stats;
   result.fractional =

@@ -1,7 +1,13 @@
 #pragma once
 /// \file benders.hpp
-/// Seeded, warm-startable column-generation driver -- the Benders view of
-/// lp/column_generation.hpp. Column generation on the primal master is
+/// The column-generation (Dantzig-Wolfe / delayed column) driver: every
+/// master-solve -> pricing-oracle -> add-columns-or-stop loop in the
+/// library runs here. It is the simplex-based equivalent of the paper's
+/// ellipsoid-plus-separation approach (Section 2.2): solving the
+/// restricted master gives dual prices, the pricing oracle (a demand
+/// oracle for the auction LPs, the rounding verifier for the Lavi-Swamy
+/// decomposition) either proves optimality or returns columns with
+/// positive reduced cost. Column generation on the primal master is
 /// exactly Benders decomposition on its dual (each generated column is a
 /// feasibility cut on the dual polyhedron), and the two reuse ideas this
 /// driver adds are dual-side warm starts:
@@ -12,21 +18,28 @@
 ///  - a basis hint: the donor's terminal simplex basis is installed into
 ///    the first master solve (falling back to a cold solve on any
 ///    incompatibility, exactly like lp/simplex.hpp's warm path).
-/// The plain unseeded loop (solve_with_column_generation) stays untouched;
-/// this driver is its superset used by the asymmetric colgen solver.
+/// With no seeds and no hint it is the plain column-generation loop.
 
+#include <functional>
 #include <vector>
 
-#include "lp/column_generation.hpp"
 #include "lp/lp_model.hpp"
 #include "lp/simplex.hpp"
 
 namespace ssa::lp {
 
-/// A column appended to the restricted master before the first solve.
-/// Structurally identical to PricedColumn; the separate name marks the
-/// provenance (pool seed vs oracle round) in driver signatures.
-using SeedColumn = PricedColumn;
+/// A column proposed by a pricing oracle, or seeded before the first
+/// master solve.
+struct PricedColumn {
+  double cost = 0.0;
+  std::vector<ColumnEntry> entries;
+};
+
+/// Pricing callback: receives the current master solution (notably its row
+/// duals) and returns columns with positive reduced cost (maximization
+/// masters) / negative reduced cost (minimization masters); an empty result
+/// certifies optimality of the master over the full column set.
+using PricingOracle = std::function<std::vector<PricedColumn>(const Solution&)>;
 
 struct BendersOptions {
   int max_rounds = 500;         ///< pricing rounds before giving up
@@ -56,7 +69,7 @@ struct BendersResult {
 /// empty otherwise) for banking into a warm-start cache.
 [[nodiscard]] BendersResult solve_with_benders(
     LinearProgram& master, const PricingOracle& oracle,
-    const std::vector<SeedColumn>& seeds, const BendersOptions& options = {},
+    const std::vector<PricedColumn>& seeds, const BendersOptions& options = {},
     BasisSnapshot* export_basis = nullptr);
 
 }  // namespace ssa::lp

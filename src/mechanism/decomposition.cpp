@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <stdexcept>
 
 #include "core/exact.hpp"
 #include "core/rounding.hpp"
-#include "lp/simplex.hpp"
+#include "lp/benders.hpp"
 
 namespace ssa {
 
@@ -76,7 +75,7 @@ Decomposition decompose_fractional(const AuctionInstance& instance,
   }
 
   // Master: coordinate equality rows + convexity row; s+/s- and the empty
-  // allocation as initial columns.
+  // allocation (so the convexity row is satisfiable) as initial columns.
   lp::LinearProgram master(lp::Objective::kMinimize);
   for (std::size_t c = 0; c < num_coords; ++c) {
     master.add_row(lp::RowSense::kEqual, support[c].x / result.alpha);
@@ -86,45 +85,21 @@ Decomposition decompose_fractional(const AuctionInstance& instance,
     master.add_column(1.0, {{static_cast<int>(c), 1.0}});   // s+
     master.add_column(1.0, {{static_cast<int>(c), -1.0}});  // s-
   }
-  std::vector<Allocation> allocation_columns;
-  std::vector<int> allocation_master_index;
-  const auto add_allocation_column = [&](lp::SimplexEngine& engine,
-                                         const Allocation& allocation) {
-    std::vector<lp::ColumnEntry> entries{{convexity_row, 1.0}};
-    for (std::size_t v = 0; v < allocation.size(); ++v) {
-      if (allocation.bundles[v] == kEmptyBundle) continue;
-      const auto it =
-          coord_of.find({static_cast<int>(v), allocation.bundles[v]});
-      if (it == coord_of.end()) {
-        throw std::logic_error("decompose: allocation outside supp(x*)");
-      }
-      entries.push_back({it->second, 1.0});
-    }
-    master.add_column(0.0, entries);
-    engine.add_column(0.0, entries);
-    allocation_columns.push_back(allocation);
-    allocation_master_index.push_back(static_cast<int>(master.num_columns()) - 1);
-  };
-
-  lp::SimplexEngine engine;
-  // Seed with the empty allocation so the convexity row is satisfiable.
-  {
-    Allocation empty;
-    empty.bundles.assign(instance.num_bidders(), kEmptyBundle);
-    std::vector<lp::ColumnEntry> entries{{convexity_row, 1.0}};
-    master.add_column(0.0, entries);
-    allocation_columns.push_back(empty);
-    allocation_master_index.push_back(static_cast<int>(master.num_columns()) - 1);
-  }
-  lp::Solution solution = engine.solve(master);
+  // Allocation a sits at master column first_allocation + a.
+  const std::size_t first_allocation = master.num_columns();
+  std::vector<Allocation> allocation_columns(1);
+  allocation_columns[0].bundles.assign(instance.num_bidders(), kEmptyBundle);
+  master.add_column(0.0, {{convexity_row, 1.0}});
 
   const bool exact_pricing_possible =
       options.use_exact_pricing && instance.num_channels() <= 6 &&
       instance.num_bidders() <= 14;
 
-  for (result.rounds = 0; result.rounds < options.max_rounds; ++result.rounds) {
-    if (solution.status != lp::SolveStatus::kOptimal) break;
-    if (solution.objective < 1e-8) break;  // decomposition complete
+  // Pricing: find an integral allocation maximizing the dual weights, or
+  // stop once the decomposition is complete or nothing improves.
+  const lp::PricingOracle oracle =
+      [&](const lp::Solution& solution) -> std::vector<lp::PricedColumn> {
+    if (solution.objective < 1e-8) return {};  // decomposition complete
 
     // Dual weights w_c and theta.
     std::vector<double> weights(num_coords, 0.0);
@@ -150,10 +125,12 @@ Decomposition decompose_fractional(const AuctionInstance& instance,
                                            std::move(pricing_valuations),
                                            instance.rho());
 
-    // Candidate allocations from the rounding verifier (and exact B&B).
+    // Candidate allocations from the rounding verifier (and exact B&B);
+    // the per-round seed advances with the columns added so far.
+    const std::size_t columns_so_far = allocation_columns.size() - 1;
     Allocation candidate = best_of_rounds(
         pricing_instance, fractional, options.rounding_repetitions,
-        options.seed + static_cast<std::uint64_t>(result.rounds));
+        options.seed + static_cast<std::uint64_t>(columns_so_far));
     if (exact_pricing_possible) {
       const ExactResult exact = solve_exact(pricing_instance);
       if (exact.welfare > pricing_instance.welfare(candidate)) {
@@ -172,26 +149,35 @@ Decomposition decompose_fractional(const AuctionInstance& instance,
     }
 
     double score = theta;
+    std::vector<lp::ColumnEntry> entries{{convexity_row, 1.0}};
     for (std::size_t v = 0; v < candidate.size(); ++v) {
       if (candidate.bundles[v] == kEmptyBundle) continue;
-      const auto it = coord_of.find({static_cast<int>(v), candidate.bundles[v]});
-      score += weights[static_cast<std::size_t>(it->second)];
+      const int coord =
+          coord_of.at({static_cast<int>(v), candidate.bundles[v]});
+      score += weights[static_cast<std::size_t>(coord)];
+      entries.push_back({coord, 1.0});
     }
-    if (score <= 1e-8) break;  // no improving allocation found
+    if (score <= 1e-8) return {};  // no improving allocation found
 
-    add_allocation_column(engine, candidate);
-    ++result.columns_generated;
-    solution = engine.resolve();
-  }
+    allocation_columns.push_back(std::move(candidate));
+    return {lp::PricedColumn{0.0, std::move(entries)}};
+  };
 
+  lp::BendersOptions benders;
+  benders.max_rounds = options.max_rounds;
+  const lp::BendersResult run =
+      lp::solve_with_benders(master, oracle, {}, benders);
+  const lp::Solution& solution = run.solution;
+  // One column per round, so rounds and columns_generated coincide.
+  result.rounds = run.columns_added;
+  result.columns_generated = run.columns_added;
   result.residual = std::max(0.0, solution.objective);
   result.pivots = solution.pivots;  // engine-lifetime count across resolves
 
   // Extract the distribution.
   double total = 0.0;
   for (std::size_t a = 0; a < allocation_columns.size(); ++a) {
-    const double lambda =
-        solution.x[static_cast<std::size_t>(allocation_master_index[a])];
+    const double lambda = solution.x[first_allocation + a];
     if (lambda > 1e-9) {
       result.entries.push_back(
           DecompositionEntry{allocation_columns[a], lambda});

@@ -7,11 +7,13 @@
 ///     min  sum_c (s+_c + s-_c)
 ///     s.t. sum_l lambda_l chi_l(c) + s+_c - s-_c = x*_c / alpha   (c in supp x*)
 ///          sum_l lambda_l = 1,   lambda, s >= 0,
-/// solved by column generation. The pricing problem -- find an integral
-/// allocation maximizing the dual weights -- is answered by the paper's own
-/// rounding algorithm run on x* with the dual weights as valuations (it
-/// verifies the integrality gap alpha), backed by a pairwise-independent
-/// derandomized sweep and, on small instances, the exact solver.
+/// solved by column generation on lp::solve_with_benders (the library's
+/// one driver; no seeds, no basis hint). The pricing problem -- find an
+/// integral allocation maximizing the dual weights -- is answered by the
+/// paper's own rounding algorithm run on x* with the dual weights as
+/// valuations (it verifies the integrality gap alpha), backed by a
+/// pairwise-independent derandomized sweep and, on small instances, the
+/// exact solver.
 
 #include <cstdint>
 
@@ -40,6 +42,8 @@ struct Decomposition {
   /// Final master objective = total absolute mismatch between
   /// sum_l lambda_l chi_l and x*/alpha (0 for a perfect decomposition).
   double residual = 0.0;
+  /// Pricing rounds that added a column; every round adds exactly one, so
+  /// this always equals columns_generated.
   int rounds = 0;
   int columns_generated = 0;
   /// Simplex pivots the master LP engine spent across all restarts. A run

@@ -13,7 +13,6 @@
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
-#include "service/auction_service.hpp"
 #include "support/fingerprint.hpp"
 #include "wire/protocol.hpp"
 #include "wire/telemetry_codec.hpp"
@@ -318,96 +317,16 @@ struct FrontDoor::Impl {
         });
   }
 
-  /// Folds one backend's stats block into the running total, every field
-  /// exactly once. Field-by-field aggregation used to live inline in the
-  /// fan-out callback, where it silently dropped colgen_warm -- the door
-  /// under-reported pool warm starts. Centralizing the fold is what the
-  /// "reads each backend block once, sums every field" test pins.
-  static void accumulate_stats(service::ServiceStats& total,
-                               const service::ServiceStats& stats) {
-    total.submitted += stats.submitted;
-    total.completed += stats.completed;
-    total.cache_hits += stats.cache_hits;
-    total.fallbacks += stats.fallbacks;
-    total.coalesced += stats.coalesced;
-    total.admission_degraded += stats.admission_degraded;
-    total.admission_rejected += stats.admission_rejected;
-    total.timed_out += stats.timed_out;
-    total.warm_starts += stats.warm_starts;
-    total.colgen_warm += stats.colgen_warm;
-    total.snapshot_restored += stats.snapshot_restored;
-    total.cache_entries += stats.cache_entries;
-    total.cache_bytes += stats.cache_bytes;
-  }
-
-  void handle_stats(const EventConnectionPtr& connection,
-                    std::uint64_t client_id) {
-    stats_requests.add();
-    // Concurrent fan-out with a counted aggregation: the reply goes out
-    // when the LAST backend answered; the first failure wins verbatim.
-    struct Aggregation {
-      std::mutex mutex;
-      bool done = false;
-      std::size_t remaining = 0;
-      std::uint32_t shards = 0;
-      service::ServiceStats total;
-    };
-    auto aggregation = std::make_shared<Aggregation>();
-    aggregation->remaining = channels.size();
-    for (std::size_t i = 0; i < channels.size(); ++i) {
-      forward(
-          i, MessageType::kStats, {},
-          [connection, client_id, aggregation](
-              std::optional<wire::Frame> response, const std::string& error) {
-            const std::lock_guard<std::mutex> lock(aggregation->mutex);
-            if (aggregation->done) return;
-            if (!response) {
-              aggregation->done = true;
-              connection->send(
-                  error_frame(client_id, ErrorKind::kRuntime, error));
-              return;
-            }
-            if (response->type != MessageType::kStatsOk) {
-              aggregation->done = true;
-              connection->send(wire::encode_frame(response->type, client_id,
-                                                  response->payload));
-              return;
-            }
-            // Read the backend's block ONCE, validate, then fold: nothing
-            // is accumulated from a frame that later turns out malformed.
-            wire::Reader reader(response->payload);
-            const std::uint32_t backend_shards = reader.u32();
-            const service::ServiceStats stats = wire::read_stats(reader);
-            if (reader.failed()) {
-              aggregation->done = true;
-              connection->send(
-                  error_frame(client_id, ErrorKind::kRuntime,
-                              "front-door: malformed backend stats"));
-              return;
-            }
-            aggregation->shards += backend_shards;
-            accumulate_stats(aggregation->total, stats);
-            if (--aggregation->remaining == 0) {
-              aggregation->done = true;
-              wire::Writer writer;
-              writer.u32(aggregation->shards);
-              wire::write_stats(writer, aggregation->total);
-              connection->send(wire::encode_frame(MessageType::kStatsOk,
-                                                  client_id,
-                                                  writer.buffer()));
-            }
-          });
-    }
-  }
-
   void handle_telemetry(const EventConnectionPtr& connection,
                         std::uint64_t client_id) {
     telemetry_requests.add();
-    // Counted fan-out like handle_stats, but the aggregation is the EXACT
-    // snapshot merge (obs/telemetry.hpp): counters and gauges sum by
-    // name, histograms fold bucket-for-bucket, spans concatenate. The
-    // door's own registry (door.* counters, door/submit spans) merges in
-    // last, so one kGetTelemetry answers for the whole deployment.
+    // Concurrent fan-out with a counted aggregation: the reply goes out
+    // when the LAST backend answered; the first failure wins verbatim. The
+    // aggregation is the EXACT snapshot merge (obs/telemetry.hpp):
+    // counters and gauges sum by name, histograms fold bucket-for-bucket,
+    // spans concatenate. The door's own registry (door.* counters,
+    // door/submit spans) merges in last, so one kGetTelemetry answers for
+    // the whole deployment.
     struct Aggregation {
       std::mutex mutex;
       bool done = false;
@@ -495,9 +414,6 @@ struct FrontDoor::Impl {
       case MessageType::kGet:
         handle_get(connection, frame);
         break;
-      case MessageType::kStats:
-        handle_stats(connection, frame.request_id);
-        break;
       case MessageType::kGetTelemetry:
         handle_telemetry(connection, frame.request_id);
         break;
@@ -521,7 +437,6 @@ struct FrontDoor::Impl {
   obs::Counter& submits = registry.counter("door.submits");
   obs::Counter& gets = registry.counter("door.gets");
   obs::Counter& route_cache_hits = registry.counter("door.route_cache_hits");
-  obs::Counter& stats_requests = registry.counter("door.stats_requests");
   obs::Counter& telemetry_requests =
       registry.counter("door.telemetry_requests");
   obs::Counter& backend_failures = registry.counter("door.backend_failures");

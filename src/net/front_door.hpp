@@ -27,8 +27,10 @@
 ///
 /// Request ids are door-assigned: the door maps its id to (backend,
 /// backend id) at submit, routes get/try_get by the map, and drops the
-/// entry once the report is claimed. stats aggregates all backends.
-/// A wire kShutdown fans out to every backend, then stops the door.
+/// entry once the report is claimed. kGetTelemetry merges every backend's
+/// snapshot with the door's own (so client-side stats, derived from it,
+/// sum all backends). A wire kShutdown fans out to every backend, then
+/// stops the door.
 
 #include <cstdint>
 #include <memory>

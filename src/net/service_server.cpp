@@ -213,14 +213,6 @@ void ServiceServer::process(const EventConnectionPtr& connection,
     case MessageType::kGet:
       process_get(connection, frame);
       break;
-    case MessageType::kStats: {
-      wire::Writer writer;
-      writer.u32(static_cast<std::uint32_t>(service_.shards()));
-      wire::write_stats(writer, service_.stats());
-      connection->send(wire::encode_frame(MessageType::kStatsOk,
-                                          frame.request_id, writer.buffer()));
-      break;
-    }
     case MessageType::kGetTelemetry: {
       wire::Writer writer;
       wire::write_telemetry(writer, service_.telemetry());

@@ -14,8 +14,6 @@
 
 #include "api/registry.hpp"
 #include "api/scheduler.hpp"
-#include "service/basis_cache.hpp"
-#include "service/column_pool_cache.hpp"
 #include "service/result_cache.hpp"
 #include "support/deadline.hpp"
 #include "support/parallel.hpp"
@@ -67,10 +65,11 @@ struct AuctionService::Request {
   std::string solver;
   SolveOptions options;
   Fingerprint key;
-  /// Basis-cache key: the STRUCTURAL fingerprint hex (valuations excluded),
-  /// so value-perturbed variants of one structure share a slot. Unlike
-  /// `key`, never used for result lookup -- only for warm-start hints.
-  std::string structural_key;
+  /// Basis- and pool-cache key: the STRUCTURAL fingerprint (valuations
+  /// excluded), so value-perturbed variants of one structure share a slot.
+  /// Unlike `key`, never used for result lookup -- only for warm-start
+  /// hints.
+  Fingerprint structural_key;
   /// Effective deadline (submit time + time budget; time_point::max() when
   /// unlimited). Degraded runs clamp their solver budget against it.
   std::chrono::steady_clock::time_point deadline =
@@ -321,7 +320,7 @@ RequestId AuctionService::submit(const AnyInstance& instance,
   request->key = hasher.digest();
   // Basis-cache key: structure only, so the thousands of value-perturbed
   // variants of one auction round map to a single warm-start slot.
-  request->structural_key = structural_fingerprint(request->view()).hex();
+  request->structural_key = structural_fingerprint(request->view());
 
   const std::size_t shard_index = static_cast<std::size_t>(
       request->key.hi % static_cast<std::uint64_t>(shards_.size()));
@@ -354,13 +353,14 @@ RequestId AuctionService::submit(const AnyInstance& instance,
   request->deadline = deadline_at(now, budget_seconds);
 
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  if (auto cached = shard.cache.lookup(request->key)) {
+  if (const SolveReport* cached = shard.cache.lookup(request->key)) {
     // Served from cache: bitwise the originating run's payload; only the
     // provenance/timing fields are fresh. wall_time_seconds stays the
     // originating run's (it documents what the result cost to compute).
-    cached->cache_hit = true;
-    cached->queue_wait_seconds = 0.0;
-    shard.completed.emplace(id, std::move(*cached));
+    SolveReport report = *cached;
+    report.cache_hit = true;
+    report.queue_wait_seconds = 0.0;
+    shard.completed.emplace(id, std::move(report));
     submitted_.add();
     cache_hits_.add();
     completed_.add();
@@ -759,26 +759,27 @@ void AuctionService::shutdown() {
   }
 }
 
-ServiceStats AuctionService::stats() const {
+ServiceStats stats_from(const obs::TelemetrySnapshot& snapshot) {
   ServiceStats stats;
-  stats.submitted = submitted_.value();
-  stats.completed = completed_.value();
-  stats.cache_hits = cache_hits_.value();
-  stats.fallbacks = fallbacks_.value();
-  stats.coalesced = coalesced_.value();
-  stats.admission_degraded = admission_degraded_.value();
-  stats.admission_rejected = admission_rejected_.value();
-  stats.timed_out = timed_out_.value();
-  stats.warm_starts = warm_starts_.value();
-  stats.colgen_warm = colgen_warm_.value();
-  stats.snapshot_restored = snapshot_restored_.value();
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    stats.cache_entries += shard->cache.entries();
-    stats.cache_bytes += shard->cache.bytes();
-  }
+  stats.submitted = snapshot.counter_or("service.submitted");
+  stats.completed = snapshot.counter_or("service.completed");
+  stats.cache_hits = snapshot.counter_or("service.cache_hits");
+  stats.fallbacks = snapshot.counter_or("service.fallbacks");
+  stats.coalesced = snapshot.counter_or("service.coalesced");
+  stats.admission_degraded = snapshot.counter_or("service.admission_degraded");
+  stats.admission_rejected = snapshot.counter_or("service.admission_rejected");
+  stats.timed_out = snapshot.counter_or("service.timed_out");
+  stats.warm_starts = snapshot.counter_or("service.warm_starts");
+  stats.colgen_warm = snapshot.counter_or("service.colgen_warm");
+  stats.snapshot_restored = snapshot.counter_or("service.snapshot_restored");
+  stats.cache_entries =
+      static_cast<std::size_t>(snapshot.gauge_or("service.cache_entries"));
+  stats.cache_bytes =
+      static_cast<std::size_t>(snapshot.gauge_or("service.cache_bytes"));
   return stats;
 }
+
+ServiceStats AuctionService::stats() const { return stats_from(telemetry()); }
 
 obs::TelemetrySnapshot AuctionService::telemetry() const {
   // Refresh the point-in-time cache gauges, then export. Gauges are set
@@ -791,7 +792,7 @@ obs::TelemetrySnapshot AuctionService::telemetry() const {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     entries += shard->cache.entries();
-    bytes += shard->cache.bytes();
+    bytes += shard->cache.weight();
     bases += shard->bases.entries();
     pools += shard->pools.entries();
   }

@@ -62,7 +62,7 @@
 /// previous optimal basis as a starting point instead of pivoting from
 /// scratch (SolveReport::warm_started, ServiceStats::warm_starts). A
 /// second LRU banks the generated column pools of "asymmetric-colgen"
-/// solves under the same structural key (column_pool_cache.hpp): a churn
+/// solves under the same structural key (ColumnPoolCache): a churn
 /// variant's restricted master starts from the donor's column set and
 /// terminal basis instead of regrowing it oracle round by oracle round
 /// (ServiceStats::colgen_warm). Purely latency optimizations: the LP
@@ -96,7 +96,11 @@
 #include "api/admission.hpp"
 #include "api/any_instance.hpp"
 #include "api/solver.hpp"
+#include "core/asymmetric_colgen.hpp"
+#include "lp/simplex.hpp"
 #include "obs/registry.hpp"
+#include "obs/telemetry.hpp"
+#include "service/lru_cache.hpp"
 #include "service/selection_policy.hpp"
 #include "support/fingerprint.hpp"
 
@@ -104,6 +108,25 @@ namespace ssa::service {
 
 /// Ticket for a submitted request; claimed exactly once with get/try_get.
 using RequestId = std::uint64_t;
+
+/// One banked optimal simplex basis plus the shape data the delta remaps
+/// need (remap_basis_for_added_bidder / remap_basis_for_removed_bidder).
+struct BasisCacheEntry {
+  lp::BasisSnapshot basis;
+  std::uint32_t num_bidders = 0;
+  std::uint32_t num_channels = 0;
+  /// Structural column span per bidder of the donor solve.
+  std::vector<std::uint32_t> columns_per_bidder;
+};
+
+/// The per-shard warm-start hint caches: entry-count-bounded LRUs keyed by
+/// the STRUCTURAL fingerprint (valuations excluded), so every
+/// value-perturbed variant of one structure shares a slot. They store
+/// hints, not answers: a stale or mismatched entry costs one failed
+/// install (or filtered seeds) and a cold solve, never a wrong result --
+/// which is why entries are evicted freely and never snapshotted.
+using BasisCache = LruCache<BasisCacheEntry, CountWeigher>;
+using ColumnPoolCache = LruCache<AsymmetricColumnPool, CountWeigher>;
 
 struct ServiceOptions {
   /// Independent shards (worker pool + result cache + lock each); clamped
@@ -116,20 +139,20 @@ struct ServiceOptions {
   int threads_per_shard = 1;
   /// LRU byte budget per shard; 0 disables result caching.
   std::size_t cache_bytes_per_shard = std::size_t{8} << 20;
-  /// LRU entry budget of the per-shard basis cache (service/basis_cache.hpp):
-  /// optimal simplex bases banked by STRUCTURAL fingerprint (valuations
-  /// excluded) and replayed as warm-start hints for structurally identical
-  /// requests. 0 disables warm starting. Purely a speed knob: a warm-started
-  /// solve is payload-identical to the cold solve, so this never changes
-  /// results -- and bases are not persisted with the result-cache snapshot
-  /// (they start cold after a restore and refill from traffic).
+  /// LRU entry budget of the per-shard BasisCache: optimal simplex bases
+  /// banked by STRUCTURAL fingerprint (valuations excluded) and replayed as
+  /// warm-start hints for structurally identical requests. 0 disables warm
+  /// starting. Purely a speed knob: a warm-started solve is
+  /// payload-identical to the cold solve, so this never changes results --
+  /// and bases are not persisted with the result-cache snapshot (they
+  /// start cold after a restore and refill from traffic).
   std::size_t basis_cache_entries_per_shard = 64;
-  /// LRU entry budget of the per-shard column-pool cache
-  /// (service/column_pool_cache.hpp): generated column pools of clean
-  /// "asymmetric-colgen" solves banked by STRUCTURAL fingerprint and
-  /// replayed to seed the restricted master of structurally identical
-  /// requests. 0 disables pool warm starting. The same contract as the
-  /// basis cache: a speed knob only, payload-invariant, never snapshotted.
+  /// LRU entry budget of the per-shard ColumnPoolCache: generated column
+  /// pools of clean "asymmetric-colgen" solves banked by STRUCTURAL
+  /// fingerprint and replayed to seed the restricted master of
+  /// structurally identical requests. 0 disables pool warm starting. The
+  /// same contract as the basis cache: a speed knob only,
+  /// payload-invariant, never snapshotted.
   std::size_t column_pool_entries_per_shard = 64;
   /// Solver selection policy; null installs DefaultSelectionPolicy.
   SelectionPolicyPtr policy = nullptr;
@@ -159,11 +182,14 @@ struct ServiceOptions {
   std::size_t span_capacity = obs::kDefaultSpanCapacity;
 };
 
-/// Monotonic service counters (stats()); approximate under concurrency.
-/// A snapshot restore (ServiceOptions::snapshot_path) zeroes the traffic
-/// counters (submitted/completed/cache_hits/coalesced): restored warmth
-/// is visible as snapshot_restored + cache_entries, while hit rates are
-/// always computed over THIS process life's traffic, never inherited.
+/// The service counter block, derived from a telemetry snapshot by
+/// stats_from: every field reads one registry instrument -- a "service.*"
+/// counter (striped atomics summed exactly on read) or, for cache_entries/
+/// cache_bytes, a point-in-time gauge. A snapshot restore
+/// (ServiceOptions::snapshot_path) zeroes the traffic counters
+/// (submitted/completed/cache_hits/coalesced): restored warmth is visible
+/// as snapshot_restored + cache_entries, while hit rates are always
+/// computed over THIS process life's traffic, never inherited.
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;   ///< includes cache hits and rejections
@@ -193,6 +219,14 @@ struct ServiceStats {
   std::size_t cache_entries = 0;
   std::size_t cache_bytes = 0;
 };
+
+/// Reads ServiceStats out of \p snapshot: the "service.*" counters and the
+/// "service.cache_entries"/"service.cache_bytes" gauges, 0 when absent.
+/// Snapshots merge exactly (obs/telemetry.hpp), so the stats of a
+/// FrontDoor-merged snapshot are the per-backend stats summed field by
+/// field. The one derivation behind AuctionService::stats() and
+/// AuctionClient::stats().
+[[nodiscard]] ServiceStats stats_from(const obs::TelemetrySnapshot& snapshot);
 
 /// Sharded, cached, long-lived solving service. Thread-safe: submit/get
 /// freely from any thread. Destruction performs a clean shutdown (finishes
@@ -251,10 +285,8 @@ class AuctionService {
 
   [[nodiscard]] int shards() const noexcept;
 
-  /// The PR-3 counter block, now a VIEW over the metrics registry: every
-  /// field reads the matching "service.*" counter, so the wire stats
-  /// codec and its semantics are unchanged while the counters themselves
-  /// live in the registry next to everything else (one source of truth).
+  /// The counter block, derived from telemetry() by stats_from -- the same
+  /// derivation every AuctionClient applies to the snapshot it receives.
   [[nodiscard]] ServiceStats stats() const;
 
   /// This service's metrics registry ("service.*" counters, the

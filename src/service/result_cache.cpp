@@ -32,44 +32,6 @@ std::size_t estimated_report_bytes(const SolveReport& report) {
   return bytes;
 }
 
-std::optional<SolveReport> ResultCache::lookup(const Fingerprint& key) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return it->second->report;
-}
-
-void ResultCache::insert(const Fingerprint& key, SolveReport report) {
-  if (byte_budget_ == 0) return;
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Refresh in place (same key implies an equivalent report; keep the
-    // newer one anyway so provenance fields stay current).
-    bytes_ -= it->second->bytes;
-    it->second->bytes = estimated_report_bytes(report);
-    bytes_ += it->second->bytes;
-    it->second->report = std::move(report);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    evict_to_budget();
-    return;
-  }
-  const std::size_t cost = estimated_report_bytes(report);
-  if (cost > byte_budget_) return;  // would evict everything and still miss
-  lru_.push_front(Entry{key, std::move(report), cost});
-  index_.emplace(key, lru_.begin());
-  bytes_ += cost;
-  evict_to_budget();
-}
-
-void ResultCache::evict_to_budget() {
-  while (bytes_ > byte_budget_ && !lru_.empty()) {
-    const Entry& victim = lru_.back();
-    bytes_ -= victim.bytes;
-    index_.erase(victim.key);
-    lru_.pop_back();
-  }
-}
-
 // ---------------------------------------------------------------- snapshots
 // The report byte layout itself lives in wire/codec.cpp now -- one codec
 // shared by the snapshot files and the network wire protocol, so the two

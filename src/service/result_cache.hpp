@@ -4,9 +4,10 @@
 /// request fingerprint (instance content + solver request + options, see
 /// support/fingerprint.hpp). Each shard owns one ResultCache guarded by the
 /// shard's own mutex, so cache traffic never takes a service-global lock.
-/// Eviction is by byte budget: every stored SolveReport is costed with
-/// estimated_report_bytes and least-recently-used entries are dropped until
-/// the shard is back under budget.
+/// It is the shared LruCache (service/lru_cache.hpp) with a byte budget:
+/// every stored SolveReport is costed with estimated_report_bytes and
+/// least-recently-used entries are dropped until the shard is back under
+/// budget.
 ///
 /// Snapshot format (write_snapshot/read_snapshot): a versioned binary dump
 /// of every cached (fingerprint, report) pair so a service restart resumes
@@ -24,23 +25,21 @@
 /// tests/test_wire.cpp pins golden report bytes, so silent drift of either
 /// fails loudly).
 ///
-/// The snapshot carries RESULTS only. Warm-start bases (the per-shard
-/// BasisCache, service/basis_cache.hpp) are deliberately excluded: a basis
-/// is a runtime hint tied to this build's simplex internals, worthless if
-/// wrong and cheap to regenerate, so after a restore the basis caches
-/// start cold and the first solve of each structure re-banks one
-/// (tests/test_service.cpp pins that contract).
+/// The snapshot carries RESULTS only. Warm-start bases and column pools
+/// (the per-shard hint caches of service/auction_service.hpp) are
+/// deliberately excluded: a basis is a runtime hint tied to this build's
+/// simplex internals, worthless if wrong and cheap to regenerate, so after
+/// a restore the basis caches start cold and the first solve of each
+/// structure re-banks one (tests/test_service.cpp pins that contract).
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <list>
 #include <optional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "api/solver.hpp"
+#include "service/lru_cache.hpp"
 #include "support/fingerprint.hpp"
 
 namespace ssa::service {
@@ -50,9 +49,19 @@ namespace ssa::service {
 /// accounting is not required, consistent accounting is.
 [[nodiscard]] std::size_t estimated_report_bytes(const SolveReport& report);
 
-/// Single-shard LRU cache. NOT thread-safe: the owning shard serializes
-/// access (one mutex per shard, by design -- see the file comment).
-class ResultCache {
+/// Weighs a report by estimated_report_bytes: the result cache's budget is
+/// a byte budget.
+struct ReportBytesWeigher {
+  [[nodiscard]] std::size_t operator()(const SolveReport& report) const {
+    return estimated_report_bytes(report);
+  }
+};
+
+/// Single-shard LRU result cache (service/lru_cache.hpp); a byte budget of
+/// 0 disables caching entirely. NOT thread-safe: the owning shard
+/// serializes access (one mutex per shard, by design -- see the file
+/// comment).
+class ResultCache : public LruCache<SolveReport, ReportBytesWeigher> {
  public:
   /// Schema version of the snapshot files; see the file comment for when
   /// to bump it. History: 2 added SolveReport::warm_started/pivots to the
@@ -60,44 +69,7 @@ class ResultCache {
   /// columns_generated.
   static constexpr std::uint32_t kSnapshotVersion = 3;
 
-  /// \p byte_budget 0 disables caching entirely (every lookup misses).
-  explicit ResultCache(std::size_t byte_budget) : byte_budget_(byte_budget) {}
-
-  /// Returns the cached report for \p key and marks it most recently used.
-  [[nodiscard]] std::optional<SolveReport> lookup(const Fingerprint& key);
-
-  /// Inserts (or refreshes) \p report under \p key, then evicts LRU entries
-  /// until the byte budget holds. A report larger than the whole budget is
-  /// not cached.
-  void insert(const Fingerprint& key, SolveReport report);
-
-  /// Visits every entry least-recently used first (snapshot order).
-  template <typename Fn>
-  void for_each_lru_first(Fn&& fn) const {
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      fn(it->key, it->report);
-    }
-  }
-
-  [[nodiscard]] std::size_t entries() const noexcept { return index_.size(); }
-  [[nodiscard]] std::size_t bytes() const noexcept { return bytes_; }
-  [[nodiscard]] std::size_t byte_budget() const noexcept {
-    return byte_budget_;
-  }
-
- private:
-  struct Entry {
-    Fingerprint key;
-    SolveReport report;
-    std::size_t bytes = 0;
-  };
-
-  void evict_to_budget();
-
-  std::size_t byte_budget_;
-  std::size_t bytes_ = 0;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<Fingerprint, std::list<Entry>::iterator> index_;
+  using LruCache::LruCache;
 };
 
 /// One (key, report) pair of a snapshot.

@@ -101,12 +101,12 @@ inline constexpr int kSampledBundles = 512;
 /// zeros) share a structural fingerprint, and such instances share the
 /// same LP constraint matrix: the explicit LP emits one column per
 /// positive-value bundle, and values then enter only through the
-/// objective. That is what makes this the key of the service's basis
-/// cache (service/basis_cache.hpp) -- an optimal basis of one variant is
-/// an installable warm start for every other -- and of its column-pool
-/// cache (service/column_pool_cache.hpp), whose banked (bidder, bundle)
-/// columns seed the asymmetric-colgen restricted master across variants
-/// for the same reason. Same STABILITY rules as
+/// objective. That is what makes this the key of the service's
+/// BasisCache (service/auction_service.hpp) -- an optimal basis of one
+/// variant is an installable warm start for every other -- and of its
+/// ColumnPoolCache, whose banked (bidder, bundle) columns seed the
+/// asymmetric-colgen restricted master across variants for the same
+/// reason. Same STABILITY rules as
 /// fingerprint(); structural fingerprints are not persisted today (bases
 /// start cold after a snapshot restore) but the golden pins in
 /// tests/test_fingerprint.cpp hold the scheme still.

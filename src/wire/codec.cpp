@@ -1,7 +1,5 @@
 #include "wire/codec.hpp"
 
-#include "service/auction_service.hpp"
-
 namespace ssa::wire {
 
 namespace {
@@ -229,43 +227,6 @@ SolveReport read_report(Reader& reader) {
   if (reader.boolean()) report.mechanism = read_mechanism(reader);
   if (reader.failed()) return SolveReport{};
   return report;
-}
-
-// -- ServiceStats -----------------------------------------------------------
-
-void write_stats(Writer& writer, const service::ServiceStats& stats) {
-  writer.u64(stats.submitted);
-  writer.u64(stats.completed);
-  writer.u64(stats.cache_hits);
-  writer.u64(stats.fallbacks);
-  writer.u64(stats.coalesced);
-  writer.u64(stats.admission_degraded);
-  writer.u64(stats.admission_rejected);
-  writer.u64(stats.timed_out);
-  writer.u64(stats.warm_starts);
-  writer.u64(stats.colgen_warm);
-  writer.u64(stats.snapshot_restored);
-  writer.u64(stats.cache_entries);
-  writer.u64(stats.cache_bytes);
-}
-
-service::ServiceStats read_stats(Reader& reader) {
-  service::ServiceStats stats;
-  stats.submitted = reader.u64();
-  stats.completed = reader.u64();
-  stats.cache_hits = reader.u64();
-  stats.fallbacks = reader.u64();
-  stats.coalesced = reader.u64();
-  stats.admission_degraded = reader.u64();
-  stats.admission_rejected = reader.u64();
-  stats.timed_out = reader.u64();
-  stats.warm_starts = reader.u64();
-  stats.colgen_warm = reader.u64();
-  stats.snapshot_restored = reader.u64();
-  stats.cache_entries = static_cast<std::size_t>(reader.u64());
-  stats.cache_bytes = static_cast<std::size_t>(reader.u64());
-  if (reader.failed()) return service::ServiceStats{};
-  return stats;
 }
 
 bool reports_payload_equal(const SolveReport& a, const SolveReport& b) {

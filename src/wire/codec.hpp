@@ -2,7 +2,7 @@
 /// \file codec.hpp
 /// The binary serialization core shared by every byte format in the
 /// library: the buffer-backed Writer/Reader pair plus the codecs for the
-/// solving vocabulary (SolveOptions, SolveReport, ServiceStats). The
+/// solving vocabulary (SolveOptions, SolveReport). The
 /// result-cache snapshot files (service/result_cache.cpp) and the network
 /// wire protocol (wire/protocol.hpp) are both built on these primitives,
 /// so the versioning discipline -- magic + version up front, bounds-checked
@@ -33,10 +33,6 @@
 #include <vector>
 
 #include "api/solver.hpp"
-
-namespace ssa::service {
-struct ServiceStats;  // service/auction_service.hpp
-}
 
 namespace ssa::wire {
 
@@ -202,9 +198,6 @@ void write_options(Writer& writer, const SolveOptions& options);
 /// coalesced), and the optional LP/mechanism payloads, bit-for-bit.
 void write_report(Writer& writer, const SolveReport& report);
 [[nodiscard]] SolveReport read_report(Reader& reader);
-
-void write_stats(Writer& writer, const service::ServiceStats& stats);
-[[nodiscard]] service::ServiceStats read_stats(Reader& reader);
 
 /// Payload equality for reports: bitwise over every field except the
 /// timing-class diagnostics (wall_time_seconds, queue_wait_seconds,

@@ -47,9 +47,9 @@
 /// Message flows (client drives; one request frame, one response frame):
 ///     kSubmit        -> kSubmitOk | kError
 ///     kGet           -> kReport   | kError     (blocking when asked)
-///     kStats         -> kStatsOk  | kError
 ///     kShutdown      -> kShutdownOk | kError
-///     kGetTelemetry  -> kTelemetryOk | kError
+///     kGetTelemetry  -> kTelemetryOk | kError   (ServiceStats derive from
+///                                                it: service::stats_from)
 /// Errors carry a kind so the client can rethrow the same exception type
 /// the in-process AuctionService would have thrown, and a message pinned
 /// to the library-wide "<solver-key>: <reason>" format whenever it
@@ -78,8 +78,10 @@ inline constexpr std::uint32_t kWireMagic = 0x57415353u;
 /// SolveReport::oracle_rounds/columns_generated and
 /// ServiceStats::colgen_warm (column-generation observability); 6 added
 /// the obs::SpanContext (trace_id + parent_span_id) to the frame envelope
-/// and the kGetTelemetry/kTelemetryOk registry-export flow.
-inline constexpr std::uint16_t kWireVersion = 6;
+/// and the kGetTelemetry/kTelemetryOk registry-export flow; 7 removed the
+/// stats request/response pair and the ServiceStats codec (stats derive
+/// from the telemetry snapshot).
+inline constexpr std::uint16_t kWireVersion = 7;
 
 /// Upper bound on one frame's body (64 MiB): far above any real request
 /// or report, small enough that a corrupt length cannot drive a huge
@@ -91,8 +93,7 @@ enum class MessageType : std::uint8_t {
   kSubmitOk = 2,      ///< u64 request id
   kGet = 3,           ///< u64 request id | u8 blocking
   kReport = 4,        ///< u8 ready | SolveReport (ready = 1 only)
-  kStats = 5,         ///< (empty)
-  kStatsOk = 6,       ///< u32 shards | ServiceStats
+  // 5 and 6 were the v6 stats request/response pair; peers answer kError.
   kShutdown = 7,      ///< (empty)
   kShutdownOk = 8,    ///< (empty)
   kError = 9,         ///< u8 ErrorKind | str message

@@ -87,7 +87,7 @@ TEST(FailureInjection, ExactSolverBudgetExhaustionIsHonest) {
 TEST(FailureInjection, ColumnGenerationRoundCapReported) {
   const AuctionInstance instance =
       gen::make_disk_auction(14, 4, gen::ValuationMix::kMixed, 6);
-  lp::ColumnGenerationOptions options;
+  lp::BendersOptions options;
   options.max_rounds = 1;
   ColGenStats stats;
   const FractionalSolution capped =

@@ -111,7 +111,7 @@ TEST(Fingerprint, AsymmetricPerChannelGraphsAreCovered) {
 }
 
 TEST(StructuralFingerprint, InvariantUnderValueRescaling) {
-  // The basis-cache key (service/basis_cache.hpp): rescaling positive
+  // The BasisCache key (service/auction_service.hpp): rescaling positive
   // bundle values keeps the LP constraint matrix, so the structural
   // fingerprint must not move -- while the full fingerprint must.
   const AuctionInstance base = tiny_instance();
@@ -139,7 +139,7 @@ TEST(StructuralFingerprint, SupportChangesTheKey) {
 }
 
 TEST(StructuralFingerprint, AsymmetricSupportPatternIsCovered) {
-  // The column-pool key (service/column_pool_cache.hpp): rescaling
+  // The ColumnPoolCache key: rescaling
   // positive bundle values of an asymmetric instance keeps the
   // restricted-master constraint matrix, so the structural fingerprint
   // must not move -- while zeroing a bundle (a support change) removes a

@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "lp/column_generation.hpp"
+#include "lp/benders.hpp"
 #include "lp/lp_model.hpp"
 #include "lp/simplex.hpp"
 #include "support/random.hpp"
@@ -409,9 +409,12 @@ TEST(ColumnGeneration, ReachesFullModelOptimum) {
     return {PricedColumn{costs[static_cast<std::size_t>(best)],
                          entries[static_cast<std::size_t>(best)]}};
   };
-  const ColumnGenerationResult result =
-      solve_with_column_generation(master, oracle);
+  // No seeds and no basis hint: the plain column-generation loop.
+  const BendersResult result = solve_with_benders(master, oracle, {});
   EXPECT_TRUE(result.proved_optimal);
+  EXPECT_FALSE(result.warm_started);
+  EXPECT_EQ(result.columns_added,
+            static_cast<int>(master.num_columns()));
   EXPECT_NEAR(result.solution.objective, full_optimum, 1e-7);
 }
 

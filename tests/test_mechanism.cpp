@@ -7,12 +7,15 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "api/api.hpp"
 #include "gen/scenario.hpp"
 #include "mechanism/decomposition.hpp"
 #include "mechanism/fractional_vcg.hpp"
 #include "mechanism/mechanism.hpp"
+#include "support/fingerprint.hpp"
+#include "wire/codec.hpp"
 
 namespace ssa {
 namespace {
@@ -184,6 +187,55 @@ TEST(Mechanism, WeightedInstanceSupported) {
   const MechanismOutcome outcome = registry_mechanism(instance);
   EXPECT_TRUE(instance.feasible(outcome.allocation));
   EXPECT_LE(outcome.decomposition.residual, 1e-5);
+}
+
+
+/// Digest of the "mechanism" solver's serialized report (wall time zeroed:
+/// the one field that re-measures per run).
+std::string mechanism_report_digest(const AuctionInstance& instance,
+                                    const SolveOptions& options,
+                                    SolveReport& report) {
+  report = make_solver("mechanism")->solve(instance, options);
+  report.wall_time_seconds = 0.0;
+  wire::Writer writer;
+  wire::write_report(writer, report);
+  FingerprintHasher hasher;
+  hasher.mix(std::string_view(writer.buffer()));
+  hasher.mix(writer.buffer().size());
+  return hasher.digest().hex();
+}
+
+TEST(MechanismGolden, ReportBytesOnFixedInstances) {
+  // Pins the whole serialized payload -- VCG optimum and payments, the
+  // decomposition entries, rounds, columns_generated, residual, pivots --
+  // of two fixed runs: one over the column-generation LP with the
+  // decomposition uncapped, one over the explicit LP with max_rounds
+  // capped. Recorded before the decomposition moved onto
+  // lp::solve_with_benders; any drift means the shared driver changed
+  // the Section 5 payload.
+  SolveOptions colgen;
+  colgen.seed = 11;
+  colgen.mechanism.use_colgen = true;
+  SolveReport first;
+  EXPECT_EQ(mechanism_report_digest(
+                gen::make_disk_auction(6, 2, gen::ValuationMix::kMixed, 31),
+                colgen, first),
+            "424b1574af16a55cf658d6e8d00de530");
+  EXPECT_EQ(first.mechanism->decomposition.rounds, 5);
+  EXPECT_EQ(first.mechanism->decomposition.columns_generated, 5);
+  EXPECT_EQ(first.mechanism->decomposition.entries.size(), 6u);
+
+  SolveOptions capped;
+  capped.seed = 5;
+  capped.mechanism.decomposition.max_rounds = 3;
+  SolveReport second;
+  EXPECT_EQ(mechanism_report_digest(
+                gen::make_disk_auction(8, 2, gen::ValuationMix::kMixed, 7),
+                capped, second),
+            "50bf584dff10c9d54aa2ab99759b7d09");
+  EXPECT_EQ(second.mechanism->decomposition.rounds, 3);
+  EXPECT_EQ(second.mechanism->decomposition.columns_generated, 3);
+  EXPECT_EQ(second.mechanism->decomposition.entries.size(), 3u);
 }
 
 }  // namespace

@@ -35,6 +35,7 @@
 #include "support/fingerprint.hpp"
 #include "wire/codec.hpp"
 #include "wire/protocol.hpp"
+#include "wire/telemetry_codec.hpp"
 
 namespace ssa {
 namespace {
@@ -255,22 +256,21 @@ TEST(ServiceServerTest, InterleavedResponsesArriveOutOfOrder) {
 }
 
 /// Hand-rolled misbehaving server: answers every request with a scripted
-/// list of response ids (empty stats payload), so client-side protocol
+/// list of response ids (empty telemetry payload), so client-side protocol
 /// enforcement can be probed directly.
 void serve_scripted_ids(
     net::TcpListener& listener,
     const std::function<std::vector<std::uint64_t>(std::uint64_t)>& script) {
   auto connection = listener.accept();
   if (!connection) return;
-  wire::Writer stats;
-  stats.u32(1);
-  wire::write_stats(stats, service::ServiceStats{});
+  wire::Writer telemetry;
+  wire::write_telemetry(telemetry, obs::TelemetrySnapshot{});
   while (auto body = connection->recv_frame()) {
     const auto frame = wire::decode_frame_body(*body);
     if (!frame) return;
     for (const std::uint64_t id : script(frame->request_id)) {
-      connection->send_frame(wire::encode_frame(wire::MessageType::kStatsOk,
-                                                id, stats.buffer()));
+      connection->send_frame(wire::encode_frame(
+          wire::MessageType::kTelemetryOk, id, telemetry.buffer()));
     }
   }
 }
@@ -284,7 +284,7 @@ TEST(MuxTest, ResponseForUnknownRequestIdPoisonsTheConnection) {
   });
   net::MuxConnection mux(net::kLoopbackHost, listener.port());
   try {
-    (void)mux.call_sync(wire::MessageType::kStats, {});
+    (void)mux.call_sync(wire::MessageType::kGetTelemetry, {});
     FAIL() << "a response for an unknown id must fail the pending call";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("unknown request id"),
@@ -307,8 +307,9 @@ TEST(MuxTest, DuplicateResponseIdPoisonsAfterTheFirstDelivery) {
   });
   net::MuxConnection mux(net::kLoopbackHost, listener.port());
   // The first response delivers normally...
-  const wire::Frame frame = mux.call_sync(wire::MessageType::kStats, {});
-  EXPECT_EQ(frame.type, wire::MessageType::kStatsOk);
+  const wire::Frame frame =
+      mux.call_sync(wire::MessageType::kGetTelemetry, {});
+  EXPECT_EQ(frame.type, wire::MessageType::kTelemetryOk);
   // ...and the duplicate matches no pending call (the first consumed the
   // entry), which is a protocol violation: the connection poisons.
   const auto deadline =
@@ -317,7 +318,7 @@ TEST(MuxTest, DuplicateResponseIdPoisonsAfterTheFirstDelivery) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(mux.poisoned());
-  EXPECT_THROW((void)mux.call_sync(wire::MessageType::kStats, {}),
+  EXPECT_THROW((void)mux.call_sync(wire::MessageType::kGetTelemetry, {}),
                std::runtime_error);
   mux.close();
   listener.shutdown();
@@ -614,11 +615,12 @@ AsymmetricInstance weighted_asymmetric_chain(std::size_t n) {
 }
 
 TEST(FrontDoorTest, StatsAggregationPreservesEveryField) {
-  // Regression pin for the read-once stats fan-out: the door's aggregated
-  // ServiceStats must equal the per-backend stats summed field-for-field.
-  // colgen_warm is the field the old per-field accumulation silently
-  // dropped, so the workload is an asymmetric churn stream that warm-starts
-  // the column pools (making the field nonzero on the backends).
+  // The door's ServiceStats (derived from its merged telemetry snapshot)
+  // must equal the per-backend stats summed field-for-field, all 13 of
+  // them. colgen_warm is the field an old hand-kept per-field fan-out
+  // silently dropped, so the workload is an asymmetric churn stream that
+  // warm-starts the column pools (making the field nonzero on the
+  // backends).
   std::vector<std::unique_ptr<net::ServiceServer>> backends;
   for (int b = 0; b < 2; ++b) {
     backends.push_back(std::make_unique<net::ServiceServer>(
@@ -650,15 +652,32 @@ TEST(FrontDoorTest, StatsAggregationPreservesEveryField) {
     summed.submitted += stats.submitted;
     summed.completed += stats.completed;
     summed.cache_hits += stats.cache_hits;
+    summed.fallbacks += stats.fallbacks;
+    summed.coalesced += stats.coalesced;
+    summed.admission_degraded += stats.admission_degraded;
+    summed.admission_rejected += stats.admission_rejected;
+    summed.timed_out += stats.timed_out;
     summed.warm_starts += stats.warm_starts;
     summed.colgen_warm += stats.colgen_warm;
+    summed.snapshot_restored += stats.snapshot_restored;
+    summed.cache_entries += stats.cache_entries;
+    summed.cache_bytes += stats.cache_bytes;
   }
   EXPECT_EQ(door_stats.submitted, static_cast<std::uint64_t>(kVariants));
   EXPECT_EQ(door_stats.submitted, summed.submitted);
   EXPECT_EQ(door_stats.completed, summed.completed);
   EXPECT_EQ(door_stats.cache_hits, summed.cache_hits);
+  EXPECT_EQ(door_stats.fallbacks, summed.fallbacks);
+  EXPECT_EQ(door_stats.coalesced, summed.coalesced);
+  EXPECT_EQ(door_stats.admission_degraded, summed.admission_degraded);
+  EXPECT_EQ(door_stats.admission_rejected, summed.admission_rejected);
+  EXPECT_EQ(door_stats.timed_out, summed.timed_out);
   EXPECT_EQ(door_stats.warm_starts, summed.warm_starts);
   EXPECT_EQ(door_stats.colgen_warm, summed.colgen_warm);
+  EXPECT_EQ(door_stats.snapshot_restored, summed.snapshot_restored);
+  EXPECT_EQ(door_stats.cache_entries, summed.cache_entries);
+  EXPECT_EQ(door_stats.cache_bytes, summed.cache_bytes);
+  EXPECT_GT(door_stats.cache_entries, 0u);  // the gauges crossed the door
   // Each (backend, shard) pool runs cold at most once; the rest of the
   // churn stream warm-starts, so the once-dropped field is nonzero here.
   EXPECT_GE(door_stats.colgen_warm, static_cast<std::uint64_t>(kVariants) -

@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "gen/scenario.hpp"
-#include "service/basis_cache.hpp"
-#include "service/column_pool_cache.hpp"
 #include "service/service.hpp"
 #include "wire/codec.hpp"
 
@@ -178,65 +176,131 @@ TEST(AuctionService, BasesStartColdAfterSnapshotRestore) {
   std::remove(path.c_str());
 }
 
-TEST(BasisCache, LruEvictionRecencyAndReplace) {
-  service::BasisCache cache(2);
+TEST(ServiceStats, DerivedFromTelemetrySnapshotCoversEveryField) {
+  // stats_from is the one ServiceStats channel: every field must come
+  // from its own registry instrument. Distinct values per field catch a
+  // dropped or crossed field; the door.* entries must be ignored.
+  obs::TelemetrySnapshot snapshot;
+  snapshot.counters = {{"door.submits", 999},
+                       {"service.admission_degraded", 5},
+                       {"service.admission_rejected", 2},
+                       {"service.cache_hits", 40},
+                       {"service.coalesced", 7},
+                       {"service.colgen_warm", 9},
+                       {"service.completed", 95},
+                       {"service.fallbacks", 3},
+                       {"service.snapshot_restored", 11},
+                       {"service.submitted", 101},
+                       {"service.timed_out", 4},
+                       {"service.warm_starts", 6}};
+  snapshot.gauges = {{"service.basis_entries", 888},
+                     {"service.cache_bytes", 4096},
+                     {"service.cache_entries", 23}};
+  const ServiceStats stats = service::stats_from(snapshot);
+  EXPECT_EQ(stats.submitted, 101u);
+  EXPECT_EQ(stats.completed, 95u);
+  EXPECT_EQ(stats.cache_hits, 40u);
+  EXPECT_EQ(stats.fallbacks, 3u);
+  EXPECT_EQ(stats.coalesced, 7u);
+  EXPECT_EQ(stats.admission_degraded, 5u);
+  EXPECT_EQ(stats.admission_rejected, 2u);
+  EXPECT_EQ(stats.timed_out, 4u);
+  EXPECT_EQ(stats.warm_starts, 6u);
+  EXPECT_EQ(stats.colgen_warm, 9u);
+  EXPECT_EQ(stats.snapshot_restored, 11u);
+  EXPECT_EQ(stats.cache_entries, 23u);
+  EXPECT_EQ(stats.cache_bytes, 4096u);
+
+  // An empty snapshot reads as all zeros.
+  const ServiceStats empty = service::stats_from(obs::TelemetrySnapshot{});
+  EXPECT_EQ(empty.submitted, 0u);
+  EXPECT_EQ(empty.cache_bytes, 0u);
+}
+
+/// Weighs a string by its length: a byte budget with predictable sizes.
+struct LengthWeigher {
+  std::size_t operator()(const std::string& value) const {
+    return value.size();
+  }
+};
+
+TEST(LruCache, RecencyReplaceZeroCapacityAndBothWeighers) {
+  const Fingerprint a{1, 1}, b{2, 2}, c{3, 3};
+
+  // Count weigher (the basis and column-pool caches): an entry budget.
+  service::BasisCache bases(2);
   const auto entry = [](std::uint32_t n) {
     service::BasisCacheEntry e;
     e.num_bidders = n;
     return e;
   };
-  cache.insert("a", entry(1));
-  cache.insert("b", entry(2));
-  ASSERT_NE(cache.lookup("a"), nullptr);  // refreshes a's recency
-  cache.insert("c", entry(3));            // evicts b, the LRU entry
-  EXPECT_EQ(cache.lookup("b"), nullptr);
-  ASSERT_NE(cache.lookup("a"), nullptr);
-  EXPECT_EQ(cache.lookup("a")->num_bidders, 1u);
-  ASSERT_NE(cache.lookup("c"), nullptr);
-  EXPECT_EQ(cache.entries(), 2u);
+  bases.insert(a, entry(1));
+  bases.insert(b, entry(2));
+  ASSERT_NE(bases.lookup(a), nullptr);  // refreshes a's recency
+  bases.insert(c, entry(3));            // evicts b, the LRU entry
+  EXPECT_EQ(bases.lookup(b), nullptr);
+  ASSERT_NE(bases.lookup(a), nullptr);
+  EXPECT_EQ(bases.lookup(a)->num_bidders, 1u);
+  ASSERT_NE(bases.lookup(c), nullptr);
+  EXPECT_EQ(bases.entries(), 2u);
+  bases.insert(c, entry(4));  // same key: replace, no eviction
+  EXPECT_EQ(bases.entries(), 2u);
+  EXPECT_EQ(bases.lookup(c)->num_bidders, 4u);
+  EXPECT_NE(bases.lookup(a), nullptr);
 
-  cache.insert("c", entry(4));  // same key: replace in place, no eviction
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.lookup("c")->num_bidders, 4u);
-  EXPECT_NE(cache.lookup("a"), nullptr);
+  // Zero capacity disables the cache.
+  service::ColumnPoolCache pools(0);
+  pools.insert(a, AsymmetricColumnPool{});
+  EXPECT_EQ(pools.lookup(a), nullptr);
+  EXPECT_EQ(pools.entries(), 0u);
+
+  // Byte weigher: eviction runs until the summed weight fits, LRU first,
+  // and the visitor walks least-recently used first.
+  service::LruCache<std::string, LengthWeigher> bytes(10);
+  bytes.insert(a, "aaaa");
+  bytes.insert(b, "bbbb");
+  EXPECT_EQ(bytes.weight(), 8u);
+  ASSERT_NE(bytes.lookup(a), nullptr);  // b is now least recently used
+  bytes.insert(c, "cc");                // 10 bytes: fits exactly
+  EXPECT_EQ(bytes.entries(), 3u);
+  bytes.insert(a, "aaaaaa");  // heavier replace: evicts b, keeps c
+  EXPECT_EQ(bytes.lookup(b), nullptr);
+  ASSERT_NE(bytes.lookup(a), nullptr);
+  EXPECT_EQ(*bytes.lookup(a), "aaaaaa");
+  EXPECT_EQ(bytes.weight(), 8u);
+  std::vector<std::string> order;
+  bytes.for_each_lru_first(
+      [&](const Fingerprint&, const std::string& value) {
+        order.push_back(value);
+      });
+  EXPECT_EQ(order, (std::vector<std::string>{"cc", "aaaaaa"}));
+  bytes.insert(b, std::string(11, 'b'));  // heavier than the budget
+  EXPECT_EQ(bytes.lookup(b), nullptr);
+  EXPECT_EQ(bytes.entries(), 2u);
 }
 
-TEST(BasisCache, ZeroCapacityDisables) {
-  service::BasisCache cache(0);
-  cache.insert("a", service::BasisCacheEntry{});
-  EXPECT_EQ(cache.lookup("a"), nullptr);
-  EXPECT_EQ(cache.entries(), 0u);
-}
+TEST(ResultCache, OversizedReplaceDropsOnlyTheStaleEntry) {
+  // Replacing a key with a report heavier than the whole budget must act
+  // like a fresh oversized insert: nothing cached for that key, every
+  // other entry kept. (It used to evict the whole shard, then the report.)
+  SolveReport small;
+  small.solver = "small";
+  const std::size_t small_bytes = service::estimated_report_bytes(small);
+  service::ResultCache cache(3 * small_bytes);
+  const Fingerprint a{1, 1}, b{2, 2};
+  cache.insert(a, small);
+  cache.insert(b, small);
+  SolveReport huge = small;
+  huge.allocation.bundles.assign(4 * small_bytes, 1);
+  ASSERT_GT(service::estimated_report_bytes(huge), 3 * small_bytes);
 
-TEST(ColumnPoolCache, LruEvictionRecencyAndReplace) {
-  service::ColumnPoolCache cache(2);
-  const auto pool = [](std::uint32_t n) {
-    AsymmetricColumnPool p;
-    p.num_bidders = n;
-    p.columns.emplace_back(0u, Bundle{1});
-    return p;
-  };
-  cache.insert("a", pool(1));
-  cache.insert("b", pool(2));
-  ASSERT_NE(cache.lookup("a"), nullptr);  // refreshes a's recency
-  cache.insert("c", pool(3));             // evicts b, the LRU entry
-  EXPECT_EQ(cache.lookup("b"), nullptr);
-  ASSERT_NE(cache.lookup("a"), nullptr);
-  EXPECT_EQ(cache.lookup("a")->num_bidders, 1u);
-  ASSERT_NE(cache.lookup("c"), nullptr);
+  cache.insert(Fingerprint{9, 9}, huge);  // fresh oversized: rejected
   EXPECT_EQ(cache.entries(), 2u);
-
-  cache.insert("c", pool(4));  // same key: replace in place, no eviction
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.lookup("c")->num_bidders, 4u);
-  EXPECT_NE(cache.lookup("a"), nullptr);
-}
-
-TEST(ColumnPoolCache, ZeroCapacityDisables) {
-  service::ColumnPoolCache cache(0);
-  cache.insert("a", AsymmetricColumnPool{});
-  EXPECT_EQ(cache.lookup("a"), nullptr);
-  EXPECT_EQ(cache.entries(), 0u);
+  cache.insert(a, huge);  // oversized replace: a goes, b stays
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.lookup(a), nullptr);
+  EXPECT_NE(cache.lookup(b), nullptr);
+  EXPECT_EQ(cache.weight(), small_bytes);
 }
 
 /// Support-preserving churn on the asymmetric family: rescale one

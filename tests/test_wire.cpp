@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,7 @@
 #include "gen/scenario.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
-#include "service/auction_service.hpp"
+#include "service/result_cache.hpp"
 #include "support/fingerprint.hpp"
 #include "support/histogram.hpp"
 #include "wire/codec.hpp"
@@ -349,13 +350,14 @@ TEST(WireInstance, EncodeRejectsEmptyView) {
 
 TEST(WireFrame, RoundTripAndHeaderChecks) {
   const std::string frame =
-      wire::encode_frame(wire::MessageType::kStats, 0xdeadbeefcafef00dull, "xy");
+      wire::encode_frame(wire::MessageType::kGetTelemetry,
+                         0xdeadbeefcafef00dull, "xy");
   // Body starts after the u32 length prefix. v3 body layout:
   // magic[0..3] version[4..5] type[6] request_id[7..14] payload[15..].
   const std::string body = frame.substr(4);
   const auto decoded = wire::decode_frame_body(body);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->type, wire::MessageType::kStats);
+  EXPECT_EQ(decoded->type, wire::MessageType::kGetTelemetry);
   EXPECT_EQ(decoded->request_id, 0xdeadbeefcafef00dull);
   EXPECT_EQ(decoded->payload, "xy");
 
@@ -401,13 +403,13 @@ TEST(WireFrame, RejectsVersion2FramesStrictly) {
   EXPECT_FALSE(wire::decode_frame_body(v2_body.buffer()).has_value());
 
   // A current-shaped body whose version word was rewound to an older
-  // version (2, 3) or bumped past the current one must also reject: the
+  // version (2 .. 6) or bumped past the current one must also reject: the
   // check is equality, not >=.
   const std::string current =
       wire::encode_frame(wire::MessageType::kSubmit, 7, "abc").substr(4);
   for (const std::uint16_t version :
        {std::uint16_t{2}, std::uint16_t{3}, std::uint16_t{4},
-        std::uint16_t{5}, std::uint16_t{7}}) {
+        std::uint16_t{5}, std::uint16_t{6}, std::uint16_t{8}}) {
     std::string patched = current;
     patched[4] = static_cast<char>(version & 0xff);
     patched[5] = static_cast<char>(version >> 8);
@@ -454,58 +456,19 @@ TEST(WireFrame, EnvelopeBitFlipsNeverCrashAndNeverTouchThePayload) {
 // (and the snapshot format sharing the report codec) changed: bump
 // wire::kWireVersion / ResultCache::kSnapshotVersion and re-pin.
 
-TEST(WireCodec, StatsRoundTripCoversEveryCounter) {
-  // Every ServiceStats field must survive the codec -- the load harness
-  // reads shed/degrade/timeout rates through stats() on every transport,
-  // so a field silently dropped here would zero a rate remotely only.
-  service::ServiceStats stats;
-  stats.submitted = 101;
-  stats.completed = 95;
-  stats.cache_hits = 40;
-  stats.fallbacks = 3;
-  stats.coalesced = 7;
-  stats.admission_degraded = 5;
-  stats.admission_rejected = 2;
-  stats.timed_out = 4;
-  stats.warm_starts = 6;
-  stats.colgen_warm = 9;
-  stats.snapshot_restored = 11;
-  stats.cache_entries = 23;
-  stats.cache_bytes = 4096;
-  wire::Writer writer;
-  wire::write_stats(writer, stats);
-  wire::Reader reader(writer.buffer());
-  const service::ServiceStats decoded = wire::read_stats(reader);
-  ASSERT_FALSE(reader.failed());
-  EXPECT_TRUE(reader.exhausted());
-  EXPECT_EQ(decoded.submitted, 101u);
-  EXPECT_EQ(decoded.completed, 95u);
-  EXPECT_EQ(decoded.cache_hits, 40u);
-  EXPECT_EQ(decoded.fallbacks, 3u);
-  EXPECT_EQ(decoded.coalesced, 7u);
-  EXPECT_EQ(decoded.admission_degraded, 5u);
-  EXPECT_EQ(decoded.admission_rejected, 2u);
-  EXPECT_EQ(decoded.timed_out, 4u);
-  EXPECT_EQ(decoded.warm_starts, 6u);
-  EXPECT_EQ(decoded.colgen_warm, 9u);
-  EXPECT_EQ(decoded.snapshot_restored, 11u);
-  EXPECT_EQ(decoded.cache_entries, 23u);
-  EXPECT_EQ(decoded.cache_bytes, 4096u);
-}
-
 TEST(WireGolden, FrameLayout) {
-  // v6: u32 len | u32 magic "SSAW" | u16 version=6 | u8 type | u64 id |
+  // v7: u32 len | u32 magic "SSAW" | u16 version=7 | u8 type | u64 id |
   //     u64 trace id | u64 parent span id | payload
   EXPECT_EQ(to_hex(wire::encode_frame(wire::MessageType::kSubmit,
                                       0x0102030405060708ull, "abc")),
-            "2200000053534157060001" "0807060504030201"
+            "2200000053534157070001" "0807060504030201"
             "0000000000000000" "0000000000000000" "616263");
   // A traced frame stamps the context little-endian after the id.
   EXPECT_EQ(to_hex(wire::encode_frame(
                 wire::MessageType::kSubmit, 0x0102030405060708ull, "abc",
                 obs::SpanContext{0x1112131415161718ull,
                                  0x2122232425262728ull})),
-            "2200000053534157060001" "0807060504030201"
+            "2200000053534157070001" "0807060504030201"
             "1817161514131211" "2827262524232221" "616263");
 }
 
@@ -552,6 +515,40 @@ TEST(WireGolden, ReportLayout) {
       "0c400001000000000000e03f0107000000000000000300000009000000000000000000"
       "000001000000000000007301000000000000d03f010101000000000000000c40010000"
       "00000000000000000001000000000000000000e03f00");
+}
+
+TEST(WireGolden, SnapshotLayoutTwoEntriesLruFirst) {
+  // The result-cache snapshot envelope (magic, kSnapshotVersion = 3, u64
+  // count) around two entries written least-recently used first -- b,
+  // then a after its lookup refreshed it. Recorded before ResultCache
+  // moved onto the shared LruCache.
+  service::ResultCache cache(1 << 20);
+  SolveReport a;
+  a.solver = "a";
+  a.allocation.bundles = {1, 0};
+  a.welfare = 1.5;
+  SolveReport b;
+  b.solver = "b";
+  b.allocation.bundles = {2};
+  b.welfare = 2.0;
+  cache.insert(Fingerprint{1, 2}, a);
+  cache.insert(Fingerprint{3, 4}, b);
+  ASSERT_NE(cache.lookup(Fingerprint{1, 2}), nullptr);  // a is MRU now
+  std::vector<service::SnapshotEntry> entries;
+  service::append_snapshot_entries(cache, entries);
+  std::ostringstream out;
+  service::write_snapshot(out, entries);
+  EXPECT_EQ(
+      to_hex(out.str()),
+      "5353415243534e50030000000200000000000000030000000000000004000000"
+      "0000000001000000000000006200000000000000000100000000000000020000"
+      "0000000000000000400000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000001000000000000000200000000"
+      "0000000100000000000000610000000000000000020000000000000001000000"
+      "00000000000000000000f83f0000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000000");
 }
 
 TEST(WireGolden, InstanceLayoutAndFingerprint) {
