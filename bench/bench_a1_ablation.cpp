@@ -46,14 +46,16 @@ void scaling_table() {
           n, k, gen::ValuationMix::kMixed, 21u * n + static_cast<std::size_t>(k));
       const FractionalSolution lp = lp_of(instance);
       if (lp.status != lp::SolveStatus::kOptimal) continue;
-      const double sqrt_k = std::sqrt(static_cast<double>(k));
       double baseline = 0.0;
       for (const double c : {0.5, 1.0, 2.0, 4.0, 8.0}) {
+        // Algorithm 1 samples x / (2 sqrt(k) rho); scaling x by 2 / c
+        // turns that into x / (c sqrt(k) rho).
+        FractionalSolution scaled = lp;
+        for (FractionalColumn& column : scaled.columns) column.x *= 2.0 / c;
         Rng rng(5u * n + static_cast<std::uint64_t>(10 * c));
         RunningStats stats;
         for (int trial = 0; trial < 200; ++trial) {
-          stats.add(instance.welfare(round_unweighted(
-              instance, lp, rng, c * sqrt_k * instance.rho())));
+          stats.add(instance.welfare(round_unweighted(instance, scaled, rng)));
         }
         if (c == 2.0) baseline = stats.mean();
         table.add_row({"disk", Table::integer(static_cast<long long>(n)),

@@ -275,6 +275,48 @@ class MechanismSolver final : public SymmetricSolver {
 
 // -- Section 6: asymmetric channels -----------------------------------------
 
+/// The rounding stage and bookkeeping both Section 6 LP adapters share,
+/// run once the LP came back. Throws on a failed LP (pivot limit,
+/// infeasibility: an error, not a silent zero report); a time-limited LP
+/// only flags the report. Unweighted graphs get the Section 6 rounding
+/// with the sampling scale 2 k rho as the factor; conflict resolution
+/// costs another survival factor <= 2, so the proven expectation bound
+/// (the guarantee) is b* / (2 * factor) = b* / (4 k rho). Weighted graphs
+/// get the greedy fit of the fractional support (deterministic,
+/// conservative, no proven factor). A restricted-master objective (colgen
+/// pricing rounds exhausted) is only a LOWER bound on b*, so the upper
+/// bound and the guarantee ride on \p proven.
+void round_section6(const std::string& solver,
+                    const AsymmetricInstance& instance,
+                    const FractionalSolution& lp, bool proven,
+                    const PipelineOptions& pipeline, const Deadline& deadline,
+                    SolveReport& report) {
+  if (lp.status == lp::SolveStatus::kTimeLimit) {
+    report.timed_out = true;
+    return;
+  }
+  if (lp.status != lp::SolveStatus::kOptimal) {
+    throw std::runtime_error(solver + ": LP solve failed (" +
+                             lp::to_string(lp.status) + ")");
+  }
+  report.fractional = lp;
+  if (proven) report.lp_upper_bound = lp.objective;
+  if (!instance.unweighted()) {
+    report.allocation = greedy_fit_from_columns(instance, lp.columns);
+    return;
+  }
+  bool timed_out = false;
+  report.allocation =
+      best_asymmetric_rounds(instance, lp, pipeline.rounding_repetitions,
+                             pipeline.seed, deadline, &timed_out);
+  report.timed_out = timed_out;
+  if (proven) {
+    report.factor =
+        2.0 * static_cast<double>(instance.num_channels()) * instance.rho();
+    report.guarantee = lp.objective / (2.0 * report.factor);
+  }
+}
+
 class AsymmetricLpRoundingSolver final : public AsymmetricSolver {
  public:
   std::string name() const override { return "asymmetric-lp-rounding"; }
@@ -296,42 +338,17 @@ class AsymmetricLpRoundingSolver final : public AsymmetricSolver {
     PipelineOptions pipeline = options.pipeline;
     pipeline.seed = options.seed;
     // Shared-vs-section budget precedence pinned in support/deadline.hpp.
-    const double budget_seconds = effective_budget(
-        options.time_budget_seconds, pipeline.time_budget_seconds);
-    const Deadline deadline = Deadline::after(budget_seconds);
+    const Deadline deadline = Deadline::after(effective_budget(
+        options.time_budget_seconds, pipeline.time_budget_seconds));
     lp::SimplexOptions simplex;
     simplex.deadline = deadline;
 
     SolveReport report;
     report.params =
         "reps=" + std::to_string(pipeline.rounding_repetitions) + " lp=explicit";
-    // The common diagnostics carry the Section 6 sampling scale 2 k rho as
-    // the factor; conflict resolution costs another survival factor <= 2,
-    // so the proven expectation bound (the guarantee) is b* / (2 * factor)
-    // = b* / (4 k rho).
-    report.factor =
-        2.0 * static_cast<double>(instance.num_channels()) * instance.rho();
-
     const FractionalSolution lp = solve_asymmetric_lp(instance, simplex);
-    if (lp.status == lp::SolveStatus::kTimeLimit) {
-      report.timed_out = true;
-      report.factor = 0.0;  // no bound can be claimed without the LP
-      return report;
-    }
-    if (lp.status != lp::SolveStatus::kOptimal) {
-      // Pivot limit / infeasibility: an error, not a silent zero report.
-      throw std::runtime_error("asymmetric-lp-rounding: LP solve failed (" +
-                               lp::to_string(lp.status) + ")");
-    }
-    bool timed_out = false;
-    report.allocation =
-        best_asymmetric_rounds(instance, lp, pipeline.rounding_repetitions,
-                               pipeline.seed, deadline, &timed_out);
-    report.timed_out = timed_out;
-    report.lp_upper_bound = lp.objective;
-    report.fractional = lp;
     report.pivots = lp.pivots;
-    report.guarantee = lp.objective / (2.0 * report.factor);
+    round_section6(name(), instance, lp, true, pipeline, deadline, report);
     return report;
   }
 };
@@ -352,9 +369,8 @@ class AsymmetricColgenSolver final : public AsymmetricSolver {
     PipelineOptions pipeline = options.pipeline;
     pipeline.seed = options.seed;
     // Shared-vs-section budget precedence pinned in support/deadline.hpp.
-    const double budget_seconds = effective_budget(
-        options.time_budget_seconds, pipeline.time_budget_seconds);
-    const Deadline deadline = Deadline::after(budget_seconds);
+    const Deadline deadline = Deadline::after(effective_budget(
+        options.time_budget_seconds, pipeline.time_budget_seconds));
 
     AsymmetricColGenOptions colgen;
     colgen.simplex.deadline = deadline;
@@ -365,7 +381,7 @@ class AsymmetricColgenSolver final : public AsymmetricSolver {
       if (options.warm_start) colgen.pool = options.warm_context->pool_hint;
       colgen.pool_export = &options.warm_context->pool_exported;
     }
-    AsymmetricColGenStats stats;
+    ColGenStats stats;
     const FractionalSolution lp =
         solve_asymmetric_lp_colgen(instance, &stats, colgen);
     if (options.warm_context != nullptr) {
@@ -381,41 +397,8 @@ class AsymmetricColgenSolver final : public AsymmetricSolver {
     report.oracle_rounds = static_cast<std::uint32_t>(stats.rounds);
     report.columns_generated =
         static_cast<std::uint32_t>(stats.columns_generated);
-    if (lp.status == lp::SolveStatus::kTimeLimit) {
-      report.timed_out = true;
-      return report;
-    }
-    if (lp.status != lp::SolveStatus::kOptimal) {
-      // Pivot limit / infeasibility: an error, not a silent zero report.
-      throw std::runtime_error("asymmetric-colgen: LP solve failed (" +
-                               lp::to_string(lp.status) + ")");
-    }
-    report.fractional = lp;
-    // A restricted-master objective (pricing rounds exhausted) is only a
-    // LOWER bound on b*, so the upper bound and any guarantee derived from
-    // it ride on the oracle's optimality certificate.
-    if (stats.proved_optimal) report.lp_upper_bound = lp.objective;
-
-    if (instance.unweighted()) {
-      // Same rounding stage and Section 6 bookkeeping as
-      // asymmetric-lp-rounding: sampling scale 2 k rho, conflict survival
-      // <= 2, E[welfare] >= b* / (4 k rho).
-      bool timed_out = false;
-      report.allocation =
-          best_asymmetric_rounds(instance, lp, pipeline.rounding_repetitions,
-                                 pipeline.seed, deadline, &timed_out);
-      report.timed_out = timed_out;
-      if (stats.proved_optimal) {
-        report.factor = 2.0 * static_cast<double>(instance.num_channels()) *
-                        instance.rho();
-        report.guarantee = lp.objective / (2.0 * report.factor);
-      }
-    } else {
-      // Weighted graphs: randomized rounding's survival analysis does not
-      // apply; fit the fractional support greedily instead (deterministic,
-      // conservative, no proven factor).
-      report.allocation = greedy_fit_from_columns(instance, lp.columns);
-    }
+    round_section6(name(), instance, lp, stats.proved_optimal, pipeline,
+                   deadline, report);
     return report;
   }
 };

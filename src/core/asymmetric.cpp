@@ -6,8 +6,8 @@
 #include <string>
 
 #include "core/best_rounds.hpp"
+#include "core/branch_and_bound.hpp"
 #include "graph/inductive_independence.hpp"
-#include "lp/simplex.hpp"
 #include "support/parallel.hpp"
 
 namespace ssa {
@@ -67,70 +67,15 @@ double AsymmetricInstance::welfare(const Allocation& allocation) const {
   return total;
 }
 
-FractionalSolution solve_asymmetric_lp(const AsymmetricInstance& instance,
-                                       lp::SimplexOptions options) {
-  const int k = instance.num_channels();
-  // This path materializes every one of the 2^k - 1 bundles per bidder;
-  // beyond the explicit limit the caller must use the demand-oracle
-  // column-generation solver (solve_asymmetric_lp_colgen) instead.
-  if (k > AsymmetricInstance::kExplicitChannelLimit) {
-    throw std::invalid_argument(
-        "solve_asymmetric_lp: k <= " +
-        std::to_string(AsymmetricInstance::kExplicitChannelLimit) +
-        " required, got " + std::to_string(k) +
-        " (use asymmetric-colgen for larger instances)");
-  }
-  const std::size_t n = instance.num_bidders();
-
-  lp::LinearProgram master(lp::Objective::kMaximize);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (int j = 0; j < k; ++j) {
-      master.add_row(lp::RowSense::kLessEqual, instance.rho());
+bool AsymmetricInstance::fits(std::span<const Bundle> assigned,
+                              std::size_t v, Bundle t) const {
+  for (int j = 0; j < num_channels(); ++j) {
+    if (!bundle_has(t, j)) continue;
+    for (int u : graph(j).neighbors(v)) {
+      if (bundle_has(assigned[static_cast<std::size_t>(u)], j)) return false;
     }
   }
-  for (std::size_t v = 0; v < n; ++v) {
-    master.add_row(lp::RowSense::kLessEqual, 1.0);
-  }
-
-  std::vector<std::pair<int, Bundle>> meaning;
-  for (std::size_t v = 0; v < n; ++v) {
-    for (Bundle t = 1; t < num_bundles(k); ++t) {
-      const double value = instance.value(v, t);
-      if (value <= 0.0) continue;
-      std::vector<lp::ColumnEntry> entries;
-      for (int j = 0; j < k; ++j) {
-        if (!bundle_has(t, j)) continue;
-        const auto& graph = instance.graph(j);
-        for (int u : graph.neighbors(v)) {
-          if (instance.positions()[static_cast<std::size_t>(u)] <=
-              instance.positions()[v]) {
-            continue;
-          }
-          const double wbar = graph.coupling_weight(v, static_cast<std::size_t>(u));
-          if (wbar > 0.0) {
-            entries.push_back({channel_row(static_cast<std::size_t>(u), j, k), wbar});
-          }
-        }
-      }
-      entries.push_back({static_cast<int>(n) * k + static_cast<int>(v), 1.0});
-      master.add_column(value, std::move(entries));
-      meaning.emplace_back(static_cast<int>(v), t);
-    }
-  }
-
-  const lp::Solution solution = lp::solve(master, options);
-  FractionalSolution result;
-  result.status = solution.status;
-  result.objective = solution.objective;
-  result.pivots = solution.pivots;
-  if (solution.status != lp::SolveStatus::kOptimal) return result;
-  for (std::size_t j = 0; j < meaning.size(); ++j) {
-    if (solution.x[j] > 1e-9) {
-      result.columns.push_back(
-          FractionalColumn{meaning[j].first, meaning[j].second, solution.x[j]});
-    }
-  }
-  return result;
+  return true;
 }
 
 Allocation round_asymmetric(const AsymmetricInstance& instance,
@@ -148,15 +93,14 @@ Allocation round_asymmetric(const AsymmetricInstance& instance,
   for (const FractionalColumn& column : fractional.columns) {
     by_bidder[static_cast<std::size_t>(column.bidder)].push_back(&column);
   }
-  Allocation allocation;
-  allocation.bundles.assign(n, kEmptyBundle);
+  std::vector<Bundle> sampled(n, kEmptyBundle);
   for (std::size_t v = 0; v < n; ++v) {
     const double u = rng.uniform();
     double cumulative = 0.0;
     for (const FractionalColumn* column : by_bidder[v]) {
       cumulative += column->x / denominator;
       if (u < cumulative) {
-        allocation.bundles[v] = column->bundle;
+        sampled[v] = column->bundle;
         break;
       }
     }
@@ -166,23 +110,16 @@ Allocation round_asymmetric(const AsymmetricInstance& instance,
   // kept earlier vertex on ANY channel j of v's bundle drops v's ENTIRE
   // bundle (not just channel j). This is deliberate -- see the contract in
   // asymmetric.hpp: per-channel trimming would leave sub-bundles the
-  // survival analysis never values, so the whole set is charged.
+  // survival analysis never values, so the whole set is charged. Only
+  // earlier vertices are kept when v is checked, so the binary fit check
+  // against the kept set is exactly that test.
+  Allocation allocation;
+  allocation.bundles.assign(n, kEmptyBundle);
   for (int v : instance.order()) {
     const std::size_t sv = static_cast<std::size_t>(v);
-    if (allocation.bundles[sv] == kEmptyBundle) continue;
-    bool removed = false;
-    for (int j = 0; !removed && j < k; ++j) {
-      if (!bundle_has(allocation.bundles[sv], j)) continue;
-      const auto& graph = instance.graph(j);
-      for (int u : graph.neighbors(sv)) {
-        const std::size_t su = static_cast<std::size_t>(u);
-        if (instance.positions()[su] < instance.positions()[sv] &&
-            bundle_has(allocation.bundles[su], j)) {
-          allocation.bundles[sv] = kEmptyBundle;
-          removed = true;
-          break;
-        }
-      }
+    if (sampled[sv] != kEmptyBundle &&
+        instance.fits(allocation.bundles, sv, sampled[sv])) {
+      allocation.bundles[sv] = sampled[sv];
     }
   }
   return allocation;
@@ -206,98 +143,17 @@ Allocation best_asymmetric_rounds(const AsymmetricInstance& instance,
 
 namespace {
 
-/// Whether bidder v can add bundle t against the current per-channel
-/// assignment: no neighbor in graph j may already hold channel j.
-bool fits_asymmetric(const AsymmetricInstance& instance,
-                     const std::vector<Bundle>& assigned, std::size_t v,
-                     Bundle t) {
-  const int k = instance.num_channels();
-  for (int j = 0; j < k; ++j) {
-    if (!bundle_has(t, j)) continue;
-    for (int u : instance.graph(j).neighbors(v)) {
-      if (bundle_has(assigned[static_cast<std::size_t>(u)], j)) return false;
-    }
+/// The binary fit policy of the branch-and-bound search: no incremental
+/// state, the check reads the assignment directly.
+struct BinaryFit {
+  const AsymmetricInstance& instance;
+
+  [[nodiscard]] bool fits(std::span<const Bundle> assigned, std::size_t v,
+                          Bundle t) const {
+    return instance.fits(assigned, v, t);
   }
-  return true;
-}
-
-/// DFS over bidders for per-channel graphs; the structural twin of
-/// core/exact.cpp's ExactSearch with the independence check swapped in.
-class AsymmetricSearch {
- public:
-  AsymmetricSearch(const AsymmetricInstance& instance,
-                   const ExactOptions& options)
-      : instance_(instance), options_(options) {
-    const std::size_t n = instance.num_bidders();
-    const int k = instance.num_channels();
-    assigned_.assign(n, kEmptyBundle);
-    candidates_.resize(n);
-    remaining_max_.assign(n + 1, 0.0);
-    for (std::size_t v = 0; v < n; ++v) {
-      for (Bundle t = 1; t < num_bundles(k); ++t) {
-        if (instance.value(v, t) > 0.0) candidates_[v].push_back(t);
-      }
-      std::sort(candidates_[v].begin(), candidates_[v].end(),
-                [&](Bundle a, Bundle b) {
-                  return instance.value(v, a) > instance.value(v, b);
-                });
-    }
-    for (std::size_t v = n; v-- > 0;) {
-      const double vmax =
-          candidates_[v].empty() ? 0.0 : instance.value(v, candidates_[v][0]);
-      remaining_max_[v] = remaining_max_[v + 1] + vmax;
-    }
-  }
-
-  ExactResult run() {
-    budget_ = options_.node_budget;
-    best_welfare_ = 0.0;
-    best_.bundles.assign(instance_.num_bidders(), kEmptyBundle);
-    if (options_.deadline.expired()) {
-      timed_out_ = true;
-    } else {
-      recurse(0, 0.0);
-    }
-    ExactResult result;
-    result.allocation = best_;
-    result.welfare = best_welfare_;
-    result.exact = budget_ > 0 && !timed_out_;
-    result.timed_out = timed_out_;
-    return result;
-  }
-
- private:
-  void recurse(std::size_t v, double welfare) {
-    if (budget_-- <= 0 || timed_out_) return;
-    if ((budget_ & 4095) == 0 && options_.deadline.expired()) {
-      timed_out_ = true;
-      return;
-    }
-    if (welfare > best_welfare_) {
-      best_welfare_ = welfare;
-      best_.bundles = assigned_;
-    }
-    if (v >= instance_.num_bidders()) return;
-    if (welfare + remaining_max_[v] <= best_welfare_) return;  // bound
-
-    for (Bundle t : candidates_[v]) {
-      if (!fits_asymmetric(instance_, assigned_, v, t)) continue;
-      assigned_[v] = t;
-      recurse(v + 1, welfare + instance_.value(v, t));
-      assigned_[v] = kEmptyBundle;
-    }
-    recurse(v + 1, welfare);  // branch: v gets nothing
-  }
-
-  const AsymmetricInstance& instance_;
-  ExactOptions options_;
-  std::vector<std::vector<Bundle>> candidates_;
-  std::vector<double> remaining_max_;
-  std::vector<Bundle> assigned_;
-  Allocation best_;
-  double best_welfare_ = 0.0;
-  long long budget_ = 0;
-  bool timed_out_ = false;
+  void place(std::size_t, Bundle) {}
+  void remove(std::size_t, Bundle) {}
 };
 
 }  // namespace
@@ -308,14 +164,14 @@ ExactResult solve_asymmetric_exact(const AsymmetricInstance& instance,
     throw std::invalid_argument(
         "solve_asymmetric_exact: too many channels for B&B");
   }
-  // The search prunes on binary conflicts (fits_asymmetric); weighted
+  // The search prunes on binary conflicts (BinaryFit); weighted
   // graphs admit allocations (incoming weight < 1) that pruning would
   // never visit, so claiming exactness there would be wrong.
   if (!instance.unweighted()) {
     throw std::invalid_argument(
         "solve_asymmetric_exact: unweighted per-channel graphs only");
   }
-  return AsymmetricSearch(instance, options).run();
+  return detail::branch_and_bound(instance, options, BinaryFit{instance});
 }
 
 namespace {
@@ -323,10 +179,9 @@ namespace {
 /// Shared guard of the bundle-enumerating greedy baselines.
 void require_explicit_channels(const AsymmetricInstance& instance,
                                const char* who) {
-  if (instance.num_channels() > AsymmetricInstance::kExplicitChannelLimit) {
+  if (instance.num_channels() > kExplicitChannelLimit) {
     throw std::invalid_argument(
-        std::string(who) + ": k <= " +
-        std::to_string(AsymmetricInstance::kExplicitChannelLimit) +
+        std::string(who) + ": k <= " + std::to_string(kExplicitChannelLimit) +
         " required, got " + std::to_string(instance.num_channels()) +
         " (use asymmetric-colgen for larger instances)");
   }
@@ -359,8 +214,7 @@ Allocation greedy_by_value_asymmetric(const AsymmetricInstance& instance) {
     double best_value = 0.0;
     for (Bundle t = 1; t < num_bundles(k); ++t) {
       const double value = instance.value(v, t);
-      if (value > best_value &&
-          fits_asymmetric(instance, allocation.bundles, v, t)) {
+      if (value > best_value && instance.fits(allocation.bundles, v, t)) {
         best = t;
         best_value = value;
       }
@@ -397,7 +251,7 @@ Allocation greedy_by_density_asymmetric(const AsymmetricInstance& instance) {
   allocation.bundles.assign(n, kEmptyBundle);
   for (const Bid& bid : bids) {
     if (allocation.bundles[bid.bidder] != kEmptyBundle) continue;
-    if (fits_asymmetric(instance, allocation.bundles, bid.bidder, bid.bundle)) {
+    if (instance.fits(allocation.bundles, bid.bidder, bid.bundle)) {
       allocation.bundles[bid.bidder] = bid.bundle;
     }
   }

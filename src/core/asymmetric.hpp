@@ -35,15 +35,6 @@ class AsymmetricInstance {
   /// bundle space, so the instance itself admits any representable k.
   static constexpr int kMaxChannels = ssa::kMaxChannels;
 
-  /// Cap of the *explicit-enumeration* algorithms (solve_asymmetric_lp and
-  /// the greedy baselines), which still materialize all 2^k - 1 bundles per
-  /// bidder. It is the single source of truth for those paths; instances
-  /// above it must go through the column-generation solver. The exact B&B
-  /// additionally keeps its own tighter, caller-overridable guard
-  /// (ExactOptions::max_channels, default 6), exactly as in the symmetric
-  /// family.
-  static constexpr int kExplicitChannelLimit = 12;
-
   /// \p rho = 0 measures max over channels of rho_j(pi) with the verifier.
   AsymmetricInstance(std::vector<ConflictGraph> channel_graphs, Ordering order,
                      std::vector<ValuationPtr> valuations, double rho = 0.0);
@@ -68,6 +59,9 @@ class AsymmetricInstance {
   [[nodiscard]] const Valuation& valuation(std::size_t v) const {
     return *valuations_.at(v);
   }
+  [[nodiscard]] const std::vector<ValuationPtr>& valuations() const noexcept {
+    return valuations_;
+  }
   [[nodiscard]] double value(std::size_t v, Bundle bundle) const {
     return valuations_[v]->value(bundle);
   }
@@ -76,6 +70,13 @@ class AsymmetricInstance {
     return is_feasible_asymmetric(allocation, graphs_);
   }
   [[nodiscard]] bool unweighted() const noexcept { return unweighted_; }
+
+  /// Binary per-channel fit check: whether bidder \p v can add bundle
+  /// \p t against \p assigned, i.e. no neighbor of v in graph j holds
+  /// channel j for any j in t. Exact on unweighted graphs, conservative
+  /// (never admits an infeasible allocation) on weighted ones.
+  [[nodiscard]] bool fits(std::span<const Bundle> assigned, std::size_t v,
+                          Bundle t) const;
 
   /// A copy with bidder \p v's valuation replaced (mechanism experiments,
   /// churn variants in the load harness) -- the asymmetric counterpart of
@@ -92,9 +93,10 @@ class AsymmetricInstance {
   bool unweighted_;
 };
 
-/// Explicit LP for the asymmetric problem. Enumerates every bundle, so it
-/// refuses k > AsymmetricInstance::kExplicitChannelLimit; larger instances
-/// go through solve_asymmetric_lp_colgen (asymmetric_colgen.hpp).
+/// Explicit LP for the asymmetric problem (the bundle enumeration and
+/// extraction of solve_auction_lp, unlifted). Enumerates every bundle, so
+/// it refuses k > kExplicitChannelLimit; larger instances go through
+/// solve_asymmetric_lp_colgen (asymmetric_colgen.hpp).
 [[nodiscard]] FractionalSolution solve_asymmetric_lp(
     const AsymmetricInstance& instance, lp::SimplexOptions options = {});
 
@@ -123,7 +125,8 @@ class AsymmetricInstance {
     bool* timed_out = nullptr);
 
 /// Exact winner determination for per-channel conflict graphs by branch and
-/// bound over bidders (OPT reference; exponential, small instances only).
+/// bound over bidders (OPT reference; exponential, small instances only):
+/// solve_exact's search with the binary AsymmetricInstance::fits check.
 /// Unweighted per-channel graphs only, like round_asymmetric: the search
 /// prunes on binary conflicts, which on weighted graphs would skip
 /// allocations the incoming-weight feasibility admits and falsely claim
@@ -137,14 +140,14 @@ class AsymmetricInstance {
 /// weighted graphs the binary-conflict check is conservative (it never
 /// yields an infeasible allocation, but may leave weighted-feasible value
 /// on the table) -- acceptable for a no-guarantee heuristic. Enumerates
-/// bundles explicitly, so k <= AsymmetricInstance::kExplicitChannelLimit.
+/// bundles explicitly, so k <= kExplicitChannelLimit.
 [[nodiscard]] Allocation greedy_by_value_asymmetric(
     const AsymmetricInstance& instance);
 
 /// Greedy baseline: all (bidder, bundle) pairs by value / |T| density,
 /// single pass with per-channel feasibility checks (conservative on
 /// weighted graphs, see greedy_by_value_asymmetric). Enumerates bundles
-/// explicitly, so k <= AsymmetricInstance::kExplicitChannelLimit.
+/// explicitly, so k <= kExplicitChannelLimit.
 [[nodiscard]] Allocation greedy_by_density_asymmetric(
     const AsymmetricInstance& instance);
 

@@ -5,63 +5,8 @@
 
 namespace ssa {
 
-namespace {
-
-/// Dedup key of a (bidder, bundle) column proposal.
-[[nodiscard]] std::uint64_t column_key(std::uint32_t v, Bundle t) {
-  return (static_cast<std::uint64_t>(v) << 32) | static_cast<std::uint64_t>(t);
-}
-
-}  // namespace
-
-lp::LinearProgram build_asymmetric_master_rows(
-    const AsymmetricInstance& instance) {
-  lp::LinearProgram master(lp::Objective::kMaximize);
-  const std::size_t n = instance.num_bidders();
-  const int k = instance.num_channels();
-  for (std::size_t u = 0; u < n; ++u) {
-    for (int j = 0; j < k; ++j) {
-      master.add_row(lp::RowSense::kLessEqual, instance.rho());
-    }
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    master.add_row(lp::RowSense::kLessEqual, 1.0);
-  }
-  return master;
-}
-
-std::vector<lp::ColumnEntry> asymmetric_bundle_column(
-    const AsymmetricInstance& instance, int bidder, Bundle bundle) {
-  if (bundle == kEmptyBundle) {
-    throw std::invalid_argument(
-        "asymmetric_bundle_column: empty bundle has no column");
-  }
-  const std::size_t n = instance.num_bidders();
-  const int k = instance.num_channels();
-  const std::size_t v = static_cast<std::size_t>(bidder);
-
-  std::vector<lp::ColumnEntry> entries;
-  for (int j = 0; j < k; ++j) {
-    if (!bundle_has(bundle, j)) continue;
-    const auto& graph = instance.graph(j);
-    for (int u : graph.neighbors(v)) {
-      if (instance.positions()[static_cast<std::size_t>(u)] <=
-          instance.positions()[v]) {
-        continue;
-      }
-      const double wbar = graph.coupling_weight(v, static_cast<std::size_t>(u));
-      if (wbar > 0.0) {
-        entries.push_back(
-            {channel_row(static_cast<std::size_t>(u), j, k), wbar});
-      }
-    }
-  }
-  entries.push_back({static_cast<int>(n) * k + bidder, 1.0});
-  return entries;
-}
-
 FractionalSolution solve_asymmetric_lp_colgen(
-    const AsymmetricInstance& instance, AsymmetricColGenStats* stats,
+    const AsymmetricInstance& instance, ColGenStats* stats,
     const AsymmetricColGenOptions& options) {
   const std::size_t n = instance.num_bidders();
   const int k = instance.num_channels();
@@ -72,14 +17,21 @@ FractionalSolution solve_asymmetric_lp_colgen(
     const double value = instance.value(v, t);
     return lifted ? lifted_value(value, v, t) : value;
   };
-
-  lp::LinearProgram master = build_asymmetric_master_rows(instance);
-
   // Column meanings in master order: pool seeds first, oracle columns
-  // after, mirroring solve_with_benders's append order.
-  std::vector<std::pair<std::uint32_t, Bundle>> meaning;
-  std::unordered_set<std::uint64_t> known;
+  // after, mirroring solve_with_benders's append order. propose appends
+  // column (v, t) to the seeds' or an oracle round's batch unless the
+  // master already has it.
+  std::vector<ColumnMeaning> meaning;
+  std::unordered_set<std::uint64_t> known;  // (v << 32) | t
+  const auto propose = [&](std::vector<lp::PricedColumn>& batch,
+                           std::size_t v, Bundle t) {
+    if (!known.insert((std::uint64_t{v} << 32) | t).second) return;
+    batch.push_back(lp::PricedColumn{
+        column_cost(v, t), bundle_column(instance, static_cast<int>(v), t)});
+    meaning.emplace_back(static_cast<int>(v), t);
+  };
 
+  lp::LinearProgram master = build_master_rows(instance);
   std::vector<lp::PricedColumn> seeds;
   const AsymmetricColumnPool* pool = options.pool;
   const bool pool_compatible = pool != nullptr && !pool->empty() &&
@@ -87,49 +39,32 @@ FractionalSolution solve_asymmetric_lp_colgen(
                                pool->num_channels == k;
   if (pool_compatible) {
     seeds.reserve(pool->columns.size());
-    for (const auto& [v, t] : pool->columns) {
+    for (const auto& [bidder, t] : pool->columns) {
       // Zero-value columns cannot help a packing LP; churn may have
       // zeroed a donor column's value, so filter here. (A filtered seed
       // shrinks the master below the donor basis's column count and the
       // engine then falls back to a cold first solve -- correct, just
       // less warm.)
-      if (v >= n || t == kEmptyBundle || t >= num_bundles(k)) continue;
-      if (instance.value(v, t) <= 0.0) continue;
-      if (!known.insert(column_key(v, t)).second) continue;
-      seeds.push_back(lp::PricedColumn{
-          column_cost(v, t),
-          asymmetric_bundle_column(instance, static_cast<int>(v), t)});
-      meaning.emplace_back(v, t);
+      if (bidder < 0 || static_cast<std::size_t>(bidder) >= n ||
+          t == kEmptyBundle || t >= num_bundles(k)) {
+        continue;
+      }
+      const std::size_t v = static_cast<std::size_t>(bidder);
+      if (instance.value(v, t) > 0.0) propose(seeds, v, t);
     }
   }
 
   const lp::PricingOracle oracle =
       [&](const lp::Solution& rmp) -> std::vector<lp::PricedColumn> {
     std::vector<lp::PricedColumn> columns;
-    std::vector<double> prices(static_cast<std::size_t>(k), 0.0);
+    std::vector<double> prices;
     for (std::size_t v = 0; v < n; ++v) {
-      // Bidder-specific prices p_{v,j}: forward neighbors in graph j only.
-      std::fill(prices.begin(), prices.end(), 0.0);
-      for (int j = 0; j < k; ++j) {
-        const auto& graph = instance.graph(j);
-        double price = 0.0;
-        for (int u : graph.neighbors(v)) {
-          if (instance.positions()[static_cast<std::size_t>(u)] <=
-              instance.positions()[v]) {
-            continue;
-          }
-          const double wbar =
-              graph.coupling_weight(v, static_cast<std::size_t>(u));
-          if (wbar <= 0.0) continue;
-          price += wbar * rmp.duals[static_cast<std::size_t>(
-                              channel_row(static_cast<std::size_t>(u), j, k))];
-        }
-        prices[static_cast<std::size_t>(j)] = price;
-      }
+      bidder_prices(instance, rmp.duals, v, prices);
       const double z_v = rmp.duals[n * static_cast<std::size_t>(k) + v];
 
       Bundle best = kEmptyBundle;
       double best_utility = 0.0;
+      double threshold = 0.0;
       if (lifted) {
         // Exact demand under the LIFTED values, so the oracle certifies
         // optimality of the lifted master -- pricing with raw values
@@ -149,29 +84,18 @@ FractionalSolution solve_asymmetric_lp_colgen(
             best_utility = utility;
           }
         }
-        if (best != kEmptyBundle && best_utility > z_v + 1e-9 &&
-            known.insert(column_key(static_cast<std::uint32_t>(v), best))
-                .second) {
-          columns.push_back(lp::PricedColumn{
-              column_cost(v, best),
-              asymmetric_bundle_column(instance, static_cast<int>(v), best)});
-          meaning.emplace_back(static_cast<std::uint32_t>(v), best);
-        }
+        threshold = 1e-9;
       } else {
         // Beyond the enumeration ceiling: the valuation's own closed-form
         // demand oracle (unlifted) with the symmetric colgen path's
         // slacker threshold.
         const DemandResult demand = instance.valuation(v).demand(prices);
-        if (demand.bundle != kEmptyBundle && demand.utility > z_v + 1e-7 &&
-            known.insert(
-                     column_key(static_cast<std::uint32_t>(v), demand.bundle))
-                .second) {
-          columns.push_back(lp::PricedColumn{
-              column_cost(v, demand.bundle),
-              asymmetric_bundle_column(instance, static_cast<int>(v),
-                                       demand.bundle)});
-          meaning.emplace_back(static_cast<std::uint32_t>(v), demand.bundle);
-        }
+        best = demand.bundle;
+        best_utility = demand.utility;
+        threshold = 1e-7;
+      }
+      if (best != kEmptyBundle && best_utility > z_v + threshold) {
+        propose(columns, v, best);
       }
     }
     return columns;
@@ -201,11 +125,8 @@ FractionalSolution solve_asymmetric_lp_colgen(
     }
   }
 
-  FractionalSolution result;
-  result.status = run.solution.status;
-  result.objective = run.solution.objective;
-  result.pivots = run.pivots;
-  if (run.solution.status != lp::SolveStatus::kOptimal) return result;
+  const FractionalSolution terminal = extract_fractional(run.solution, meaning);
+  if (terminal.status != lp::SolveStatus::kOptimal) return terminal;
 
   // Final canonical re-solve: the terminal support in sorted (bidder,
   // bundle) order becomes a fresh LP solved by a fresh engine. Warm and
@@ -213,17 +134,17 @@ FractionalSolution solve_asymmetric_lp_colgen(
   // generically by the lift) then solve literally the same LP, so the
   // extracted objective and weights are bitwise identical no matter how
   // the columns arrived (pool seed vs oracle round, any order).
-  std::vector<std::pair<std::uint32_t, Bundle>> support;
-  for (std::size_t c = 0; c < meaning.size(); ++c) {
-    if (run.solution.x[c] > 1e-9) support.push_back(meaning[c]);
+  std::vector<ColumnMeaning> support;
+  support.reserve(terminal.columns.size());
+  for (const FractionalColumn& column : terminal.columns) {
+    support.emplace_back(column.bidder, column.bundle);
   }
   std::sort(support.begin(), support.end());
 
-  lp::LinearProgram canonical = build_asymmetric_master_rows(instance);
+  lp::LinearProgram canonical = build_master_rows(instance);
   for (const auto& [v, t] : support) {
-    canonical.add_column(column_cost(v, t),
-                         asymmetric_bundle_column(instance,
-                                                  static_cast<int>(v), t));
+    canonical.add_column(column_cost(static_cast<std::size_t>(v), t),
+                         bundle_column(instance, v, t));
   }
 
   // The terminal basis, reindexed to the canonical column order, warm-
@@ -246,9 +167,13 @@ FractionalSolution solve_asymmetric_lp_colgen(
       lp::BasisSnapshot::Entry entry = terminal_basis.basic[i];
       if (entry.kind == lp::BasisSnapshot::Kind::kStructural) {
         const std::size_t c = static_cast<std::size_t>(entry.index);
-        if (c < meaning.size() && run.solution.x[c] > 1e-9) {
-          const auto it = std::lower_bound(support.begin(), support.end(),
-                                           meaning[c]);
+        // Meanings are unique, so column c is in the support exactly when
+        // its meaning is.
+        const auto it =
+            c < meaning.size()
+                ? std::lower_bound(support.begin(), support.end(), meaning[c])
+                : support.end();
+        if (it != support.end() && *it == meaning[c]) {
           entry.index = static_cast<std::int32_t>(it - support.begin());
         } else {
           entry.kind = lp::BasisSnapshot::Kind::kArtificial;
@@ -262,28 +187,16 @@ FractionalSolution solve_asymmetric_lp_colgen(
   const lp::Solution final_solution =
       polish_hint.empty() ? polish.solve(canonical)
                           : polish.solve(canonical, polish_hint);
-  result.pivots += polish.pivots();
+  // A deadline firing between the main loop and the re-solve surfaces as
+  // the re-solve's status.
+  FractionalSolution result = extract_fractional(final_solution, support);
+  result.pivots += run.pivots;
   if (stats != nullptr) stats->pivots = result.pivots;
-  if (final_solution.status != lp::SolveStatus::kOptimal) {
-    // Deadline fired between the main loop and the re-solve; surface it.
-    result.status = final_solution.status;
-    return result;
-  }
-  result.objective = final_solution.objective;
-  result.columns.clear();
-  for (std::size_t c = 0; c < support.size(); ++c) {
-    if (final_solution.x[c] > 1e-9) {
-      result.columns.push_back(
-          FractionalColumn{static_cast<int>(support[c].first),
-                           support[c].second, final_solution.x[c]});
-    }
-  }
   return result;
 }
 
 Allocation greedy_fit_from_columns(const AsymmetricInstance& instance,
                                    const std::vector<FractionalColumn>& columns) {
-  const int k = instance.num_channels();
   struct Candidate {
     const FractionalColumn* column;
     double mass;  // x * value
@@ -308,17 +221,7 @@ Allocation greedy_fit_from_columns(const AsymmetricInstance& instance,
         static_cast<std::size_t>(candidate.column->bidder);
     if (allocation.bundles[v] != kEmptyBundle) continue;
     const Bundle t = candidate.column->bundle;
-    bool fits = true;
-    for (int j = 0; fits && j < k; ++j) {
-      if (!bundle_has(t, j)) continue;
-      for (int u : instance.graph(j).neighbors(v)) {
-        if (bundle_has(allocation.bundles[static_cast<std::size_t>(u)], j)) {
-          fits = false;
-          break;
-        }
-      }
-    }
-    if (fits) allocation.bundles[v] = t;
+    if (instance.fits(allocation.bundles, v, t)) allocation.bundles[v] = t;
   }
   return allocation;
 }

@@ -2,13 +2,13 @@
 /// \file asymmetric_colgen.hpp
 /// Demand-oracle column generation for asymmetric (Section 6) instances --
 /// the decomposition that lifts the explicit-enumeration cap
-/// (AsymmetricInstance::kExplicitChannelLimit) and admits weighted
-/// per-channel graphs. The restricted master carries the same rows as
-/// solve_asymmetric_lp (n*k interference rows at rho, n convexity rows at
+/// (kExplicitChannelLimit) and admits weighted per-channel graphs. The
+/// restricted master carries the same rows as solve_asymmetric_lp
+/// (build_master_rows: n*k interference rows at rho, n convexity rows at
 /// 1); columns arrive from a per-bidder demand oracle priced with
-/// p_{v,j} = sum over forward neighbors u in graph j of wbar_j(v,u) *
-/// y_{u,j} (Section 2.2 transplanted to per-channel graphs; the greedy
-/// demand view follows Hoefer-Kesselheim's submodular treatment,
+/// bidder_prices, p_{v,j} = sum over forward neighbors u in graph j of
+/// wbar_j(v,u) * y_{u,j} (Section 2.2 read over channel j's graph; the
+/// greedy demand view follows Hoefer-Kesselheim's submodular treatment,
 /// arXiv:1110.5753). Equivalently, each generated column is a Benders
 /// feasibility cut on the dual -- the loop itself lives in lp/benders.hpp.
 ///
@@ -29,12 +29,14 @@
 /// sorted (bidder, bundle) order, solved cold -- warm and cold runs that
 /// agree on the support set solve literally the same LP and return
 /// bitwise-identical objectives and weights, regardless of column arrival
-/// order. Beyond kLiftedDemandChannels the oracle falls back to the
+/// order. This identity is verified for k <= 13 only. At k = 16 pool-warm
+/// and cold solves of one churned instance are known to differ (alternate
+/// optima, objectives within ~1e-13 relative; the reproducer is in
+/// ROADMAP.md). Beyond kLiftedDemandChannels the oracle falls back to the
 /// valuation's own (unlifted) demand closed form and identity is only
 /// generic, exactly like the symmetric colgen path.
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/asymmetric.hpp"
@@ -48,21 +50,12 @@ namespace ssa {
 /// only -- never serialized, never snapshotted (like BasisSnapshot, it is
 /// an in-memory warm-start artifact keyed by structural fingerprint).
 struct AsymmetricColumnPool {
-  std::vector<std::pair<std::uint32_t, Bundle>> columns;
+  std::vector<ColumnMeaning> columns;
   lp::BasisSnapshot basis;
   std::uint32_t num_bidders = 0;
   int num_channels = 0;
 
   [[nodiscard]] bool empty() const noexcept { return columns.empty(); }
-};
-
-/// Diagnostics of one colgen solve (SolveReport surfaces rounds/columns).
-struct AsymmetricColGenStats {
-  int rounds = 0;
-  int columns_generated = 0;  ///< oracle columns only; pool seeds excluded
-  bool proved_optimal = false;
-  bool pool_warm_started = false;  ///< a compatible donor pool seeded the master
-  long long pivots = 0;            ///< main loop + final canonical re-solve
 };
 
 /// Bundle-enumeration ceiling of the exact LIFTED demand oracle; above it
@@ -81,17 +74,6 @@ struct AsymmetricColGenOptions {
   AsymmetricColumnPool* pool_export = nullptr;
 };
 
-/// Master rows of the asymmetric LP: n*k interference rows "(u, j) <= rho"
-/// followed by n convexity rows "sum_T x_{v,T} <= 1" (no columns).
-[[nodiscard]] lp::LinearProgram build_asymmetric_master_rows(
-    const AsymmetricInstance& instance);
-
-/// Column entries of variable (v, T) against the per-channel graphs:
-/// wbar_j(v, u) in row (u, j) for forward neighbors u and j in T, plus the
-/// convexity row of v.
-[[nodiscard]] std::vector<lp::ColumnEntry> asymmetric_bundle_column(
-    const AsymmetricInstance& instance, int bidder, Bundle bundle);
-
 /// Solves the asymmetric LP by demand-oracle column generation; works for
 /// any k <= AsymmetricInstance::kMaxChannels and for weighted per-channel
 /// graphs. For k <= kLiftedDemandChannels the objective is lifted
@@ -99,14 +81,15 @@ struct AsymmetricColGenOptions {
 /// value by at most kTiebreakScale relative and stays a valid upper bound
 /// on the integral optimum).
 [[nodiscard]] FractionalSolution solve_asymmetric_lp_colgen(
-    const AsymmetricInstance& instance, AsymmetricColGenStats* stats = nullptr,
+    const AsymmetricInstance& instance, ColGenStats* stats = nullptr,
     const AsymmetricColGenOptions& options = {});
 
 /// Deterministic integral allocation from a fractional support: columns in
 /// decreasing x * value order (stable on ties), each accepted when its
 /// bundle fits the per-channel graphs under the conservative binary
-/// conflict check (never infeasible; on weighted graphs it may leave
-/// weighted-feasible value on the table, like the greedy baselines). The
+/// conflict check (AsymmetricInstance::fits; never infeasible; on weighted
+/// graphs it may leave weighted-feasible value on the table, like the
+/// greedy baselines). The
 /// weighted-instance rounding stage of the colgen solver: randomized
 /// rounding's survival analysis needs unweighted graphs, this does not --
 /// and it is a pure function of the fractional payload, so pool-warm and

@@ -1,12 +1,23 @@
 #include "core/auction_lp.hpp"
 
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
+
+#include "core/asymmetric.hpp"
 
 namespace ssa {
 
-lp::LinearProgram build_master_rows(const AuctionInstance& instance) {
+namespace {
+
+// One implementation per LP step for both channel models: Instance is
+// AuctionInstance (every channel reads the shared graph) or
+// AsymmetricInstance (channel j reads its own graph).
+
+template <typename Instance>
+lp::LinearProgram master_rows(const Instance& instance) {
   lp::LinearProgram master(lp::Objective::kMaximize);
   const std::size_t n = instance.num_bidders();
   const int k = instance.num_channels();
@@ -21,27 +32,28 @@ lp::LinearProgram build_master_rows(const AuctionInstance& instance) {
   return master;
 }
 
-std::vector<lp::ColumnEntry> bundle_column(const AuctionInstance& instance,
-                                           int bidder, Bundle bundle) {
+template <typename Instance>
+std::vector<lp::ColumnEntry> column_of(const Instance& instance, int bidder,
+                                       Bundle bundle) {
   if (bundle == kEmptyBundle) {
     throw std::invalid_argument("bundle_column: empty bundle has no column");
   }
   const std::size_t n = instance.num_bidders();
   const int k = instance.num_channels();
-  const auto& graph = instance.graph();
   const auto& position = instance.positions();
   const std::size_t v = static_cast<std::size_t>(bidder);
 
   std::vector<lp::ColumnEntry> entries;
-  // Interference rows: (u, j) for forward neighbors u of v and j in T.
-  for (int u : graph.neighbors(v)) {
-    if (position[static_cast<std::size_t>(u)] <= position[v]) continue;
-    const double wbar = graph.coupling_weight(v, static_cast<std::size_t>(u));
-    if (wbar <= 0.0) continue;
-    for (int j = 0; j < k; ++j) {
-      if (bundle_has(bundle, j)) {
-        entries.push_back({channel_row(static_cast<std::size_t>(u), j, k), wbar});
-      }
+  // Interference rows: (u, j) for j in T and forward neighbors u of v in
+  // channel j's graph.
+  for (int j = 0; j < k; ++j) {
+    if (!bundle_has(bundle, j)) continue;
+    const ConflictGraph& graph = instance.graph(j);
+    for (int u : graph.neighbors(v)) {
+      if (position[static_cast<std::size_t>(u)] <= position[v]) continue;
+      const double wbar = graph.coupling_weight(v, static_cast<std::size_t>(u));
+      if (wbar <= 0.0) continue;
+      entries.push_back({channel_row(static_cast<std::size_t>(u), j, k), wbar});
     }
   }
   // Convexity row of bidder v.
@@ -49,81 +61,48 @@ std::vector<lp::ColumnEntry> bundle_column(const AuctionInstance& instance,
   return entries;
 }
 
-double tiebreak_unit(std::size_t v, Bundle t) {
-  std::uint64_t x = (static_cast<std::uint64_t>(v) << 32) ^
-                    (static_cast<std::uint64_t>(t) + 0x9e3779b97f4a7c15ull);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
-namespace {
-
-/// Objective coefficient of column (v, t) in the EXPLICIT master:
-/// b_{v,T} under the shared symmetry-breaking lift (lifted_value in the
-/// header). Auction instances carry exactly tied alternate optima for real
-/// (equal-value bundles of one bidder), and the warm-start contract
-/// requires cold and warm solves to terminate at the SAME optimal vertex
-/// from any starting basis -- a generically unique optimum is what makes
-/// the terminal vertex start-independent. The SYMMETRIC column-generation
-/// path below is left unlifted: its demand oracle prices columns with the
-/// true values, and a lifted master under an unlifted oracle could
-/// terminate epsilon-short of lifted-optimal. Explicit and colgen
-/// objectives therefore differ by <= kTiebreakScale relative
-/// (tests/test_auction_lp.cpp compares them within 1e-6). The asymmetric
-/// colgen path lifts BOTH master and oracle instead -- see
-/// asymmetric_colgen.cpp.
-[[nodiscard]] double explicit_objective(const AuctionInstance& instance,
-                                        std::size_t v, Bundle t) {
-  return lifted_value(instance.value(v, t), v, t);
-}
-
-FractionalSolution extract(const AuctionInstance& instance,
-                           const lp::Solution& solution,
-                           const std::vector<std::pair<int, Bundle>>& meaning) {
-  FractionalSolution result;
-  result.status = solution.status;
-  result.objective = solution.objective;
-  result.pivots = solution.pivots;
-  if (solution.status != lp::SolveStatus::kOptimal) return result;
-  for (std::size_t j = 0; j < meaning.size(); ++j) {
-    if (solution.x[j] > 1e-9) {
-      result.columns.push_back(FractionalColumn{
-          meaning[j].first, meaning[j].second, solution.x[j]});
-    }
-  }
-  (void)instance;
-  return result;
-}
-
-}  // namespace
-
-FractionalSolution solve_auction_lp(const AuctionInstance& instance,
-                                    lp::SimplexOptions options,
-                                    LpWarmStart* warm) {
+template <typename Instance>
+void prices_of(const Instance& instance, std::span<const double> duals,
+               std::size_t v, std::vector<double>& prices) {
   const int k = instance.num_channels();
-  if (k > 12) {
-    throw std::invalid_argument(
-        "solve_auction_lp: explicit enumeration limited to k <= 12; use "
-        "solve_auction_lp_colgen");
+  const auto& position = instance.positions();
+  prices.resize(static_cast<std::size_t>(k));
+  for (int j = 0; j < k; ++j) {
+    const ConflictGraph& graph = instance.graph(j);
+    double price = 0.0;
+    for (int u : graph.neighbors(v)) {
+      if (position[static_cast<std::size_t>(u)] <= position[v]) continue;
+      const double wbar = graph.coupling_weight(v, static_cast<std::size_t>(u));
+      if (wbar <= 0.0) continue;
+      price += wbar * duals[static_cast<std::size_t>(
+                          channel_row(static_cast<std::size_t>(u), j, k))];
+    }
+    prices[static_cast<std::size_t>(j)] = price;
   }
+}
+
+/// The explicit master: one column per (bidder, bundle) of positive value,
+/// costed b_{v,T} (under the symmetry-breaking lift when \p lifted),
+/// solved by one engine (with \p warm threading a basis in and out when
+/// non-null).
+template <typename Instance>
+FractionalSolution solve_explicit(const Instance& instance,
+                                  lp::SimplexOptions options,
+                                  LpWarmStart* warm, bool lifted) {
+  const int k = instance.num_channels();
   lp::LinearProgram master = build_master_rows(instance);
-  std::vector<std::pair<int, Bundle>> meaning;
-  if (warm != nullptr && warm->columns_per_bidder != nullptr) {
-    warm->columns_per_bidder->assign(instance.num_bidders(), 0);
-  }
+  std::vector<ColumnMeaning> meaning;
+  std::vector<std::uint32_t>* spans =
+      warm != nullptr ? warm->columns_per_bidder : nullptr;
+  if (spans != nullptr) spans->assign(instance.num_bidders(), 0);
   for (std::size_t v = 0; v < instance.num_bidders(); ++v) {
     for (Bundle t = 1; t < num_bundles(k); ++t) {
-      if (instance.value(v, t) <= 0.0) continue;
-      master.add_column(explicit_objective(instance, v, t),
+      const double value = instance.value(v, t);
+      if (value <= 0.0) continue;
+      master.add_column(lifted ? lifted_value(value, v, t) : value,
                         bundle_column(instance, static_cast<int>(v), t));
       meaning.emplace_back(static_cast<int>(v), t);
-      if (warm != nullptr && warm->columns_per_bidder != nullptr) {
-        ++(*warm->columns_per_bidder)[v];
-      }
+      if (spans != nullptr) ++(*spans)[v];
     }
   }
   lp::SimplexEngine engine(options);
@@ -141,14 +120,122 @@ FractionalSolution solve_auction_lp(const AuctionInstance& instance,
       *warm->exported = engine.export_basis();
     }
   }
-  return extract(instance, solution, meaning);
+  return extract_fractional(solution, meaning);
+}
+
+}  // namespace
+
+lp::LinearProgram build_master_rows(const AuctionInstance& instance) {
+  return master_rows(instance);
+}
+
+lp::LinearProgram build_master_rows(const AsymmetricInstance& instance) {
+  return master_rows(instance);
+}
+
+std::vector<lp::ColumnEntry> bundle_column(const AuctionInstance& instance,
+                                           int bidder, Bundle bundle) {
+  return column_of(instance, bidder, bundle);
+}
+
+std::vector<lp::ColumnEntry> bundle_column(const AsymmetricInstance& instance,
+                                           int bidder, Bundle bundle) {
+  return column_of(instance, bidder, bundle);
+}
+
+void bidder_prices(const AuctionInstance& instance,
+                   std::span<const double> duals, std::size_t v,
+                   std::vector<double>& prices) {
+  prices_of(instance, duals, v, prices);
+}
+
+void bidder_prices(const AsymmetricInstance& instance,
+                   std::span<const double> duals, std::size_t v,
+                   std::vector<double>& prices) {
+  prices_of(instance, duals, v, prices);
+}
+
+FractionalSolution extract_fractional(const lp::Solution& solution,
+                                      std::span<const ColumnMeaning> meaning) {
+  FractionalSolution result;
+  result.status = solution.status;
+  result.objective = solution.objective;
+  result.pivots = solution.pivots;
+  if (solution.status != lp::SolveStatus::kOptimal) return result;
+  for (std::size_t c = 0; c < meaning.size(); ++c) {
+    if (solution.x[c] > 1e-9) {
+      result.columns.push_back(
+          FractionalColumn{meaning[c].first, meaning[c].second, solution.x[c]});
+    }
+  }
+  return result;
+}
+
+double tiebreak_unit(std::size_t v, Bundle t) {
+  std::uint64_t x = (static_cast<std::uint64_t>(v) << 32) ^
+                    (static_cast<std::uint64_t>(t) + 0x9e3779b97f4a7c15ull);
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
+FractionalSolution solve_auction_lp(const AuctionInstance& instance,
+                                    lp::SimplexOptions options,
+                                    LpWarmStart* warm) {
+  if (instance.num_channels() > kExplicitChannelLimit) {
+    throw std::invalid_argument(
+        "solve_auction_lp: explicit enumeration limited to k <= " +
+        std::to_string(kExplicitChannelLimit) +
+        "; use solve_auction_lp_colgen");
+  }
+  // The objective is b_{v,T} under the shared symmetry-breaking lift
+  // (lifted_value in the header). Auction instances carry exactly tied
+  // alternate optima for real (equal-value bundles of one bidder), and the
+  // warm-start contract requires cold and warm solves to terminate at the
+  // SAME optimal vertex from any starting basis -- a generically unique
+  // optimum is what makes the terminal vertex start-independent. The
+  // SYMMETRIC column-generation path below is left unlifted: its demand
+  // oracle prices columns with the true values, and a lifted master under
+  // an unlifted oracle could terminate epsilon-short of lifted-optimal.
+  // Explicit and colgen objectives therefore differ by <= kTiebreakScale
+  // relative (tests/test_auction_lp.cpp compares them within 1e-6). The
+  // asymmetric colgen path lifts BOTH master and oracle instead -- see
+  // asymmetric_colgen.cpp.
+  return solve_explicit(instance, options, warm, /*lifted=*/true);
+}
+
+FractionalSolution solve_asymmetric_lp(const AsymmetricInstance& instance,
+                                       lp::SimplexOptions options) {
+  const int k = instance.num_channels();
+  // This path materializes every one of the 2^k - 1 bundles per bidder;
+  // beyond the explicit limit the caller must use the demand-oracle
+  // column-generation solver (solve_asymmetric_lp_colgen) instead.
+  if (k > kExplicitChannelLimit) {
+    throw std::invalid_argument(
+        "solve_asymmetric_lp: k <= " + std::to_string(kExplicitChannelLimit) +
+        " required, got " + std::to_string(k) +
+        " (use asymmetric-colgen for larger instances)");
+  }
+  return solve_explicit(instance, options, nullptr, /*lifted=*/false);
 }
 
 namespace {
 
-/// Slack-of-row snapshot entry (the cold default of a basis position).
-[[nodiscard]] lp::BasisSnapshot::Entry slack_entry(std::int32_t row) {
-  return {lp::BasisSnapshot::Kind::kSlack, row};
+/// A snapshot whose every basis position holds its row's slack (the cold
+/// default of a basis position).
+[[nodiscard]] lp::BasisSnapshot slack_basis(std::size_t rows,
+                                            std::uint32_t structurals) {
+  lp::BasisSnapshot basis;
+  basis.rows = static_cast<std::uint32_t>(rows);
+  basis.structurals = structurals;
+  for (std::uint32_t i = 0; i < basis.rows; ++i) {
+    basis.basic.push_back(
+        {lp::BasisSnapshot::Kind::kSlack, static_cast<std::int32_t>(i)});
+  }
+  return basis;
 }
 
 }  // namespace
@@ -158,10 +245,9 @@ lp::BasisSnapshot remap_basis_for_added_bidder(
     const std::vector<std::uint32_t>& old_columns_per_bidder,
     std::uint32_t new_bidder_columns) {
   const std::size_t old_rows = old_n * static_cast<std::size_t>(k) + old_n;
-  std::uint32_t old_structurals = 0;
-  for (const std::uint32_t count : old_columns_per_bidder) {
-    old_structurals += count;
-  }
+  const std::uint32_t old_structurals =
+      std::accumulate(old_columns_per_bidder.begin(),
+                      old_columns_per_bidder.end(), std::uint32_t{0});
   if (basis.rows != old_rows || basis.structurals != old_structurals ||
       old_columns_per_bidder.size() != old_n) {
     throw std::invalid_argument(
@@ -177,17 +263,12 @@ lp::BasisSnapshot remap_basis_for_added_bidder(
     return row + static_cast<std::int32_t>(k);
   };
 
-  lp::BasisSnapshot grown;
-  grown.rows = static_cast<std::uint32_t>((old_n + 1) * static_cast<std::size_t>(k) +
-                                          old_n + 1);
-  grown.structurals = old_structurals + new_bidder_columns;
-  grown.basic.resize(grown.rows);
   // Every position starts as its row's slack: the new bidder's channel and
   // convexity rows come up slack-basic and the install-time repair absorbs
   // whatever interference the old allocation pushes onto them.
-  for (std::uint32_t i = 0; i < grown.rows; ++i) {
-    grown.basic[i] = slack_entry(static_cast<std::int32_t>(i));
-  }
+  lp::BasisSnapshot grown =
+      slack_basis((old_n + 1) * static_cast<std::size_t>(k) + old_n + 1,
+                  old_structurals + new_bidder_columns);
   for (std::size_t i = 0; i < basis.basic.size(); ++i) {
     lp::BasisSnapshot::Entry entry = basis.basic[i];
     if (entry.kind != lp::BasisSnapshot::Kind::kStructural) {
@@ -203,10 +284,9 @@ lp::BasisSnapshot remap_basis_for_removed_bidder(
     const lp::BasisSnapshot& basis, std::size_t old_n, int k, int removed,
     const std::vector<std::uint32_t>& old_columns_per_bidder) {
   const std::size_t old_rows = old_n * static_cast<std::size_t>(k) + old_n;
-  std::uint32_t old_structurals = 0;
-  for (const std::uint32_t count : old_columns_per_bidder) {
-    old_structurals += count;
-  }
+  const std::uint32_t old_structurals =
+      std::accumulate(old_columns_per_bidder.begin(),
+                      old_columns_per_bidder.end(), std::uint32_t{0});
   if (basis.rows != old_rows || basis.structurals != old_structurals ||
       old_columns_per_bidder.size() != old_n || removed < 0 ||
       static_cast<std::size_t>(removed) >= old_n) {
@@ -244,15 +324,10 @@ lp::BasisSnapshot remap_basis_for_removed_bidder(
     return static_cast<std::int32_t>(new_n) * k + v - 1;
   };
 
-  lp::BasisSnapshot shrunk;
-  shrunk.rows =
-      static_cast<std::uint32_t>(new_n * static_cast<std::size_t>(k) + new_n);
-  shrunk.structurals =
-      old_structurals - old_columns_per_bidder[static_cast<std::size_t>(removed)];
-  shrunk.basic.resize(shrunk.rows);
-  for (std::uint32_t i = 0; i < shrunk.rows; ++i) {
-    shrunk.basic[i] = slack_entry(static_cast<std::int32_t>(i));
-  }
+  lp::BasisSnapshot shrunk = slack_basis(
+      new_n * static_cast<std::size_t>(k) + new_n,
+      old_structurals -
+          old_columns_per_bidder[static_cast<std::size_t>(removed)]);
   for (std::size_t i = 0; i < basis.basic.size(); ++i) {
     const std::int32_t position = remap_row(static_cast<std::int32_t>(i));
     if (position < 0) continue;  // the removed bidder's own rows
@@ -275,11 +350,9 @@ FractionalSolution solve_auction_lp_colgen(
     lp::BendersOptions options) {
   const std::size_t n = instance.num_bidders();
   const int k = instance.num_channels();
-  const auto& graph = instance.graph();
-  const auto& position = instance.positions();
 
   lp::LinearProgram master = build_master_rows(instance);
-  std::vector<std::pair<int, Bundle>> meaning;
+  std::vector<ColumnMeaning> meaning;
   // Track proposed columns to be robust against dual degeneracy.
   std::vector<std::vector<bool>> proposed(
       n, std::vector<bool>(k <= 20 ? num_bundles(k) : 0, false));
@@ -288,21 +361,9 @@ FractionalSolution solve_auction_lp_colgen(
   const lp::PricingOracle oracle =
       [&](const lp::Solution& rmp) -> std::vector<lp::PricedColumn> {
     std::vector<lp::PricedColumn> columns;
-    std::vector<double> prices(static_cast<std::size_t>(k), 0.0);
+    std::vector<double> prices;
     for (std::size_t v = 0; v < n; ++v) {
-      // Bidder-specific prices p_{v,j} = sum over forward neighbors u of
-      // wbar(v,u) * y_{u,j} (Section 2.2).
-      std::fill(prices.begin(), prices.end(), 0.0);
-      for (int u : graph.neighbors(v)) {
-        if (position[static_cast<std::size_t>(u)] <= position[v]) continue;
-        const double wbar = graph.coupling_weight(v, static_cast<std::size_t>(u));
-        if (wbar <= 0.0) continue;
-        for (int j = 0; j < k; ++j) {
-          prices[static_cast<std::size_t>(j)] +=
-              wbar * rmp.duals[static_cast<std::size_t>(
-                         channel_row(static_cast<std::size_t>(u), j, k))];
-        }
-      }
+      bidder_prices(instance, rmp.duals, v, prices);
       const DemandResult demand = instance.valuation(v).demand(prices);
       if (demand.bundle == kEmptyBundle) continue;
       const double z_v = rmp.duals[n * static_cast<std::size_t>(k) + v];
@@ -324,8 +385,9 @@ FractionalSolution solve_auction_lp_colgen(
     stats->rounds = result.rounds;
     stats->columns_generated = result.columns_added;
     stats->proved_optimal = result.proved_optimal;
+    stats->pivots = result.pivots;
   }
-  return extract(instance, result.solution, meaning);
+  return extract_fractional(result.solution, meaning);
 }
 
 }  // namespace ssa

@@ -4,15 +4,22 @@
 /// one builder: the coefficient of column (v, T) in row (u, j) is
 /// wbar(v, u) when pi(v) < pi(u) and j in T (in unweighted graphs wbar is 1
 /// on edges), the per-bidder convexity row caps sum_T x_{v,T} at 1, and the
-/// (u, j) rows have right-hand side rho.
+/// (u, j) rows have right-hand side rho. LP (1)/(4) is the Section-6 LP
+/// with wbar_j = wbar on every channel, so each builder below reads channel
+/// j's graph through instance.graph(j) and serves AuctionInstance and
+/// AsymmetricInstance alike.
 ///
 /// Two solution paths:
-///  - explicit: enumerate all 2^k - 1 bundles per bidder (k <= 12);
+///  - explicit: enumerate all 2^k - 1 bundles per bidder
+///    (k <= kExplicitChannelLimit);
 ///  - column generation with demand oracles (Section 2.2): bidder-specific
-///    prices p_{v,j} = sum_{u: v in Gamma_pi(u)} wbar(v,u) * y_{u,j} turn
-///    the dual separation problem into a demand query.
+///    prices p_{v,j} = sum_{u: v in Gamma_pi(u)} wbar_j(v,u) * y_{u,j}
+///    (bidder_prices) turn the dual separation problem into a demand
+///    query.
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -20,6 +27,8 @@
 #include "lp/lp_model.hpp"
 
 namespace ssa {
+
+class AsymmetricInstance;
 
 /// One non-zero of the fractional allocation.
 struct FractionalColumn {
@@ -87,13 +96,41 @@ inline constexpr double kTiebreakScale = 1e-7;
 /// Builds the master LP rows (no columns) for an instance: n*k rows
 /// "(u,j) <= rho" followed by n rows "sum_T x_{v,T} <= 1".
 [[nodiscard]] lp::LinearProgram build_master_rows(const AuctionInstance& instance);
+[[nodiscard]] lp::LinearProgram build_master_rows(
+    const AsymmetricInstance& instance);
 
-/// Column entries of variable (v, T) for the master LP.
+/// Column entries of variable (v, T) for the master LP: wbar_j(v, u) in
+/// row (u, j) for every forward neighbor u of v in channel j's graph and
+/// j in T, plus the convexity row of v. The entry order is unspecified;
+/// LinearProgram::add_column normalizes it.
 [[nodiscard]] std::vector<lp::ColumnEntry> bundle_column(
     const AuctionInstance& instance, int bidder, Bundle bundle);
+[[nodiscard]] std::vector<lp::ColumnEntry> bundle_column(
+    const AsymmetricInstance& instance, int bidder, Bundle bundle);
 
-/// Solves the LP by explicit bundle enumeration; requires k <= 12.
-/// Columns with zero value are skipped (they cannot help a packing LP).
+/// Bidder-specific prices of Section 2.2 from master row duals:
+/// prices[j] = sum over forward neighbors u of v in channel j's graph of
+/// wbar_j(v, u) * y_{u,j}, summed in ascending u. \p prices is resized
+/// to k.
+void bidder_prices(const AuctionInstance& instance,
+                   std::span<const double> duals, std::size_t v,
+                   std::vector<double>& prices);
+void bidder_prices(const AsymmetricInstance& instance,
+                   std::span<const double> duals, std::size_t v,
+                   std::vector<double>& prices);
+
+/// The (bidder, bundle) pair a master column stands for.
+using ColumnMeaning = std::pair<int, Bundle>;
+
+/// The FractionalSolution of a master solve whose column c means
+/// meaning[c]: status, objective, pivots and, when optimal, every column
+/// with x > 1e-9.
+[[nodiscard]] FractionalSolution extract_fractional(
+    const lp::Solution& solution, std::span<const ColumnMeaning> meaning);
+
+/// Solves the LP by explicit bundle enumeration; requires
+/// k <= kExplicitChannelLimit. Columns with zero value are skipped (they
+/// cannot help a packing LP).
 /// \p warm, when non-null, threads a basis hint in and the optimal basis
 /// out (see LpWarmStart); the result is identical to the cold solve's
 /// whenever the optimal vertex is unique.
@@ -128,11 +165,14 @@ inline constexpr double kTiebreakScale = 1e-7;
     const lp::BasisSnapshot& basis, std::size_t old_n, int k, int removed,
     const std::vector<std::uint32_t>& old_columns_per_bidder);
 
-/// Statistics of a column-generation solve (E6 measures these).
+/// Statistics of a column-generation solve (E6 measures these; the
+/// symmetric and the Section-6 colgen paths both report through it).
 struct ColGenStats {
   int rounds = 0;
-  int columns_generated = 0;
+  int columns_generated = 0;  ///< oracle columns only; pool seeds excluded
   bool proved_optimal = false;
+  bool pool_warm_started = false;  ///< a compatible donor pool seeded the master
+  long long pivots = 0;            ///< every simplex pivot of the solve
 };
 
 /// Solves the LP with demand-oracle column generation (the unseeded,

@@ -2,7 +2,8 @@
 /// \file bundle.hpp
 /// Channel bundles as bitmasks. Channel j (0-based) is bit j; the library
 /// supports up to 30 channels, which the explicit-LP paths further restrict
-/// (the demand-oracle paths only ever enumerate per-bidder columns).
+/// to kExplicitChannelLimit (the demand-oracle paths only ever enumerate
+/// per-bidder columns).
 
 #include <bit>
 #include <cstdint>
@@ -15,6 +16,12 @@ using Bundle = std::uint32_t;
 
 /// Upper limit on k imposed by the Bundle representation.
 inline constexpr int kMaxChannels = 30;
+
+/// Largest k served by the algorithms that enumerate all 2^k - 1 bundles
+/// per bidder: the explicit LPs (solve_auction_lp, solve_asymmetric_lp),
+/// the greedy baselines of both families and the mechanism's explicit
+/// path. Beyond it only the column-generation solvers serve.
+inline constexpr int kExplicitChannelLimit = 12;
 
 /// Empty bundle constant.
 inline constexpr Bundle kEmptyBundle = 0;

@@ -1,63 +1,28 @@
 #include "core/exact.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include <span>
 #include <stdexcept>
+
+#include "core/branch_and_bound.hpp"
 
 namespace ssa {
 
 namespace {
 
-/// DFS over bidders; maintains per-(vertex, channel) incoming weights so
-/// feasibility of adding a bundle is checked incrementally.
-class ExactSearch {
+/// Weighted feasibility for the branch-and-bound search, checked
+/// incrementally: per-(vertex, channel) incoming weights of the current
+/// assignment.
+class IncomingWeightFit {
  public:
-  ExactSearch(const AuctionInstance& instance, const ExactOptions& options)
-      : instance_(instance), options_(options) {
-    const std::size_t n = instance.num_bidders();
-    const int k = instance.num_channels();
-    incoming_.assign(n * static_cast<std::size_t>(k), 0.0);
-    assigned_.assign(n, kEmptyBundle);
+  explicit IncomingWeightFit(const AuctionInstance& instance)
+      : instance_(instance),
+        incoming_(instance.num_bidders() *
+                      static_cast<std::size_t>(instance.num_channels()),
+                  0.0) {}
 
-    // Candidate bundles per bidder, best value first; prune zero values.
-    candidates_.resize(n);
-    remaining_max_.assign(n + 1, 0.0);
-    for (std::size_t v = 0; v < n; ++v) {
-      for (Bundle t = 1; t < num_bundles(k); ++t) {
-        if (instance.value(v, t) > 0.0) candidates_[v].push_back(t);
-      }
-      std::sort(candidates_[v].begin(), candidates_[v].end(),
-                [&](Bundle a, Bundle b) {
-                  return instance.value(v, a) > instance.value(v, b);
-                });
-    }
-    for (std::size_t v = n; v-- > 0;) {
-      const double vmax =
-          candidates_[v].empty() ? 0.0 : instance.value(v, candidates_[v][0]);
-      remaining_max_[v] = remaining_max_[v + 1] + vmax;
-    }
-  }
-
-  ExactResult run() {
-    budget_ = options_.node_budget;
-    best_welfare_ = 0.0;
-    best_.bundles.assign(instance_.num_bidders(), kEmptyBundle);
-    if (options_.deadline.expired()) {
-      timed_out_ = true;  // pre-expired budget: return the empty incumbent
-    } else {
-      recurse(0, 0.0);
-    }
-    ExactResult result;
-    result.allocation = best_;
-    result.welfare = best_welfare_;
-    result.exact = budget_ > 0 && !timed_out_;
-    result.timed_out = timed_out_;
-    return result;
-  }
-
- private:
   /// Whether bidder v can take bundle t against the current assignment.
-  [[nodiscard]] bool can_assign(std::size_t v, Bundle t) const {
+  [[nodiscard]] bool fits(std::span<const Bundle> assigned, std::size_t v,
+                          Bundle t) const {
     const int k = instance_.num_channels();
     const auto& graph = instance_.graph();
     for (int j = 0; j < k; ++j) {
@@ -69,7 +34,7 @@ class ExactSearch {
       }
       // ... and v must not push any current holder u to >= 1.
       for (std::size_t u = 0; u < v; ++u) {
-        if (!bundle_has(assigned_[u], j)) continue;
+        if (!bundle_has(assigned[u], j)) continue;
         const double w_vu = graph.weight(v, u);
         if (w_vu > 0.0 &&
             incoming_[u * static_cast<std::size_t>(k) +
@@ -83,6 +48,10 @@ class ExactSearch {
     return true;
   }
 
+  void place(std::size_t v, Bundle t) { apply(v, t, +1.0); }
+  void remove(std::size_t v, Bundle t) { apply(v, t, -1.0); }
+
+ private:
   void apply(std::size_t v, Bundle t, double sign) {
     const int k = instance_.num_channels();
     const auto& graph = instance_.graph();
@@ -100,55 +69,8 @@ class ExactSearch {
     }
   }
 
-  void recurse(std::size_t v, double welfare) {
-    if (budget_-- <= 0 || timed_out_) return;
-    // Cooperative deadline: polled every 4096 nodes (run() handles the
-    // pre-expired case before the first node).
-    if ((budget_ & 4095) == 0 && options_.deadline.expired()) {
-      timed_out_ = true;
-      return;
-    }
-    if (welfare > best_welfare_) {
-      best_welfare_ = welfare;
-      best_.bundles = assigned_;
-      // assigned_ beyond v is empty by the invariant below.
-    }
-    if (v >= instance_.num_bidders()) return;
-    if (welfare + remaining_max_[v] <= best_welfare_) return;  // bound
-
-    for (Bundle t : candidates_[v]) {
-      if (!can_assign(v, t)) continue;
-      // v's incoming weight from earlier holders on each channel of t.
-      const int k = instance_.num_channels();
-      bool ok = true;
-      for (int j = 0; ok && j < k; ++j) {
-        if (bundle_has(t, j) &&
-            incoming_[v * static_cast<std::size_t>(k) +
-                      static_cast<std::size_t>(j)] >= 1.0) {
-          ok = false;
-        }
-      }
-      if (!ok) continue;
-      assigned_[v] = t;
-      apply(v, t, +1.0);
-      recurse(v + 1, welfare + instance_.value(v, t));
-      apply(v, t, -1.0);
-      assigned_[v] = kEmptyBundle;
-    }
-    // Branch: v gets nothing.
-    recurse(v + 1, welfare);
-  }
-
   const AuctionInstance& instance_;
-  ExactOptions options_;
-  std::vector<std::vector<Bundle>> candidates_;
-  std::vector<double> remaining_max_;
   std::vector<double> incoming_;  ///< (vertex, channel) incoming weight
-  std::vector<Bundle> assigned_;
-  Allocation best_;
-  double best_welfare_ = 0.0;
-  long long budget_ = 0;
-  bool timed_out_ = false;
 };
 
 }  // namespace
@@ -157,7 +79,8 @@ ExactResult solve_exact(const AuctionInstance& instance, ExactOptions options) {
   if (instance.num_channels() > options.max_channels) {
     throw std::invalid_argument("solve_exact: too many channels for B&B");
   }
-  return ExactSearch(instance, options).run();
+  return detail::branch_and_bound(instance, options,
+                                  IncomingWeightFit(instance));
 }
 
 }  // namespace ssa

@@ -12,11 +12,11 @@
 namespace ssa {
 
 /// Bidders in decreasing max-value order each take the feasible bundle of
-/// maximum value (enumerates bundles; requires k <= 12).
+/// maximum value (enumerates bundles; requires k <= kExplicitChannelLimit).
 [[nodiscard]] Allocation greedy_by_value(const AuctionInstance& instance);
 
 /// All (bidder, bundle) pairs sorted by value / |T|, single pass with
-/// feasibility checks (requires k <= 12).
+/// feasibility checks (requires k <= kExplicitChannelLimit).
 [[nodiscard]] Allocation greedy_by_density(const AuctionInstance& instance);
 
 /// Local-ratio maximum-weight independent set for k = 1 on an unweighted

@@ -31,6 +31,12 @@ class AuctionInstance {
   [[nodiscard]] int num_channels() const noexcept { return k_; }
   [[nodiscard]] double rho() const noexcept { return rho_; }
   [[nodiscard]] const ConflictGraph& graph() const noexcept { return graph_; }
+  /// Channel j's conflict graph: every channel shares the one graph. The
+  /// accessor AsymmetricInstance also has, so LP and search code reads
+  /// both channel models the same way (auction_lp.hpp).
+  [[nodiscard]] const ConflictGraph& graph(int /*channel*/) const noexcept {
+    return graph_;
+  }
   [[nodiscard]] const Ordering& order() const noexcept { return order_; }
   /// pi(v) for each vertex.
   [[nodiscard]] const std::vector<int>& positions() const noexcept {

@@ -55,22 +55,32 @@ Allocation rounding_stage(const std::vector<BidderDistribution>& dists,
   return allocation;
 }
 
+/// Symmetric weight v receives from pi-earlier vertices sharing a channel
+/// with it (1 per such neighbor on unweighted graphs).
+double earlier_incoming(const AuctionInstance& instance,
+                        const Allocation& allocation, std::size_t v) {
+  const auto& graph = instance.graph();
+  const auto& position = instance.positions();
+  double incoming = 0.0;
+  for (int u : graph.neighbors(v)) {
+    const std::size_t su = static_cast<std::size_t>(u);
+    if (position[su] < position[v] &&
+        (allocation.bundles[su] & allocation.bundles[v]) != kEmptyBundle) {
+      incoming += graph.coupling_weight(su, v);
+    }
+  }
+  return incoming;
+}
+
 /// Algorithm 1 conflict resolution: keep a vertex only when no kept
 /// pi-earlier neighbor shares a channel.
 void resolve_conflicts_unweighted(const AuctionInstance& instance,
                                   Allocation& allocation) {
-  const auto& graph = instance.graph();
-  const auto& position = instance.positions();
   for (int v : instance.order()) {  // ascending pi
     const std::size_t sv = static_cast<std::size_t>(v);
-    if (allocation.bundles[sv] == kEmptyBundle) continue;
-    for (int u : graph.neighbors(sv)) {
-      const std::size_t su = static_cast<std::size_t>(u);
-      if (position[su] < position[sv] &&
-          (allocation.bundles[su] & allocation.bundles[sv]) != kEmptyBundle) {
-        allocation.bundles[sv] = kEmptyBundle;
-        break;
-      }
+    if (allocation.bundles[sv] != kEmptyBundle &&
+        earlier_incoming(instance, allocation, sv) > 0.0) {
+      allocation.bundles[sv] = kEmptyBundle;
     }
   }
 }
@@ -80,20 +90,12 @@ void resolve_conflicts_unweighted(const AuctionInstance& instance,
 /// 1/2 (Condition (5)).
 void resolve_conflicts_partial(const AuctionInstance& instance,
                                Allocation& allocation) {
-  const auto& graph = instance.graph();
-  const auto& position = instance.positions();
   for (int v : instance.order()) {  // ascending pi
     const std::size_t sv = static_cast<std::size_t>(v);
-    if (allocation.bundles[sv] == kEmptyBundle) continue;
-    double incoming = 0.0;
-    for (int u : graph.neighbors(sv)) {
-      const std::size_t su = static_cast<std::size_t>(u);
-      if (position[su] < position[sv] &&
-          (allocation.bundles[su] & allocation.bundles[sv]) != kEmptyBundle) {
-        incoming += graph.coupling_weight(su, sv);
-      }
+    if (allocation.bundles[sv] != kEmptyBundle &&
+        earlier_incoming(instance, allocation, sv) >= 0.5) {
+      allocation.bundles[sv] = kEmptyBundle;
     }
-    if (incoming >= 0.5) allocation.bundles[sv] = kEmptyBundle;
   }
 }
 
@@ -133,16 +135,13 @@ std::vector<double> draw_uniforms(Rng& rng, std::size_t n) {
 }  // namespace
 
 Allocation round_unweighted(const AuctionInstance& instance,
-                            const FractionalSolution& fractional, Rng& rng,
-                            double scale_denominator) {
+                            const FractionalSolution& fractional, Rng& rng) {
   if (!instance.unweighted()) {
     throw std::invalid_argument("round_unweighted: instance has edge weights");
   }
   const double denominator =
-      scale_denominator > 0.0
-          ? scale_denominator
-          : 2.0 * std::sqrt(static_cast<double>(instance.num_channels())) *
-                instance.rho();
+      2.0 * std::sqrt(static_cast<double>(instance.num_channels())) *
+      instance.rho();
   const auto u0 = draw_uniforms(rng, instance.num_bidders());
   const auto u1 = draw_uniforms(rng, instance.num_bidders());
   return round_with_uniforms(instance, fractional, denominator, u0, u1,
@@ -151,12 +150,10 @@ Allocation round_unweighted(const AuctionInstance& instance,
 
 Allocation round_weighted_partial(const AuctionInstance& instance,
                                   const FractionalSolution& fractional,
-                                  Rng& rng, double scale_denominator) {
+                                  Rng& rng) {
   const double denominator =
-      scale_denominator > 0.0
-          ? scale_denominator
-          : 4.0 * std::sqrt(static_cast<double>(instance.num_channels())) *
-                instance.rho();
+      4.0 * std::sqrt(static_cast<double>(instance.num_channels())) *
+      instance.rho();
   const auto u0 = draw_uniforms(rng, instance.num_bidders());
   const auto u1 = draw_uniforms(rng, instance.num_bidders());
   return round_with_uniforms(instance, fractional, denominator, u0, u1,
@@ -165,19 +162,11 @@ Allocation round_weighted_partial(const AuctionInstance& instance,
 
 bool is_partly_feasible(const AuctionInstance& instance,
                         const Allocation& allocation) {
-  const auto& graph = instance.graph();
-  const auto& position = instance.positions();
   for (std::size_t v = 0; v < allocation.size(); ++v) {
-    if (allocation.bundles[v] == kEmptyBundle) continue;
-    double incoming = 0.0;
-    for (int u : graph.neighbors(v)) {
-      const std::size_t su = static_cast<std::size_t>(u);
-      if (position[su] < position[v] &&
-          (allocation.bundles[su] & allocation.bundles[v]) != kEmptyBundle) {
-        incoming += graph.coupling_weight(su, v);
-      }
+    if (allocation.bundles[v] != kEmptyBundle &&
+        earlier_incoming(instance, allocation, v) >= 0.5) {
+      return false;
     }
-    if (incoming >= 0.5) return false;
   }
   return true;
 }
@@ -270,36 +259,30 @@ Allocation derandomized_round(const AuctionInstance& instance,
                              instance.rho();
   const std::uint64_t seeds = family.seed_count();
 
+  // One rounding pass with seed s's per-vertex thresholds.
+  const auto round_with_seed = [&](std::uint64_t s) {
+    const std::vector<double> uniforms = family.values(s, n);
+    if (instance.unweighted()) {
+      return round_with_uniforms(instance, fractional, denominator, uniforms,
+                                 uniforms, resolve_conflicts_unweighted);
+    }
+    return finalize_partial(
+        instance, round_with_uniforms(instance, fractional, denominator,
+                                      uniforms, uniforms,
+                                      resolve_conflicts_partial));
+  };
+
   std::vector<double> welfare(seeds, 0.0);
   parallel_for(static_cast<std::ptrdiff_t>(seeds), [&](std::ptrdiff_t s) {
-    const std::vector<double> uniforms =
-        family.values(static_cast<std::uint64_t>(s), n);
-    Allocation allocation;
-    if (instance.unweighted()) {
-      allocation = round_with_uniforms(instance, fractional, denominator,
-                                       uniforms, uniforms,
-                                       resolve_conflicts_unweighted);
-    } else {
-      allocation = finalize_partial(
-          instance,
-          round_with_uniforms(instance, fractional, denominator, uniforms,
-                              uniforms, resolve_conflicts_partial));
-    }
-    welfare[static_cast<std::size_t>(s)] = instance.welfare(allocation);
+    welfare[static_cast<std::size_t>(s)] =
+        instance.welfare(round_with_seed(static_cast<std::uint64_t>(s)));
   });
 
   std::uint64_t best_seed = 0;
   for (std::uint64_t s = 1; s < seeds; ++s) {
     if (welfare[s] > welfare[best_seed]) best_seed = s;
   }
-  const std::vector<double> uniforms = family.values(best_seed, n);
-  if (instance.unweighted()) {
-    return round_with_uniforms(instance, fractional, denominator, uniforms,
-                               uniforms, resolve_conflicts_unweighted);
-  }
-  return finalize_partial(
-      instance, round_with_uniforms(instance, fractional, denominator, uniforms,
-                                    uniforms, resolve_conflicts_partial));
+  return round_with_seed(best_seed);
 }
 
 }  // namespace ssa

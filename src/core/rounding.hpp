@@ -26,18 +26,15 @@
 
 namespace ssa {
 
-/// Algorithm 1. Requires an unweighted instance. \p scale_denominator
-/// overrides the 2*sqrt(k)*rho scaling when positive (the asymmetric
-/// variant of Section 6 passes 2*k*rho).
+/// Algorithm 1. Requires an unweighted instance.
 [[nodiscard]] Allocation round_unweighted(const AuctionInstance& instance,
                                           const FractionalSolution& fractional,
-                                          Rng& rng,
-                                          double scale_denominator = 0.0);
+                                          Rng& rng);
 
 /// Algorithm 2: returns a partly-feasible allocation (Eq. (5) holds).
 [[nodiscard]] Allocation round_weighted_partial(
     const AuctionInstance& instance, const FractionalSolution& fractional,
-    Rng& rng, double scale_denominator = 0.0);
+    Rng& rng);
 
 /// Condition (5): incoming symmetric weight from pi-earlier vertices
 /// sharing a channel is < 1/2 for every vertex.

@@ -34,9 +34,14 @@ BendersResult solve_with_benders(LinearProgram& master,
       if (export_basis != nullptr) *export_basis = engine.export_basis();
       return result;
     }
+    // The engine gets the column as the master stored it (sorted by row,
+    // duplicates merged), exactly as seed columns reach it through the
+    // loaded master, so no oracle's entry order feeds the engine's
+    // arithmetic.
     for (const auto& column : columns) {
-      master.add_column(column.cost, column.entries);
-      engine.add_column(column.cost, column.entries);
+      const int index = master.add_column(column.cost, column.entries);
+      engine.add_column(master.cost(static_cast<std::size_t>(index)),
+                        master.column(static_cast<std::size_t>(index)));
       ++result.columns_added;
     }
     result.solution = engine.resolve();

@@ -575,7 +575,7 @@ BasisSnapshot SimplexEngine::export_basis() const {
 }
 
 int SimplexEngine::add_column(double cost,
-                              const std::vector<ColumnEntry>& entries) {
+                              std::span<const ColumnEntry> entries) {
   const double obj_sign = original_objective_ == Objective::kMaximize ? 1.0 : -1.0;
   InternalColumn col;
   col.kind = ColKind::kStructural;

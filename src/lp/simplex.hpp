@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lp/lp_model.hpp"
@@ -95,9 +96,12 @@ class SimplexEngine {
   /// std::logic_error without a prior optimal solve.
   [[nodiscard]] BasisSnapshot export_basis() const;
 
-  /// Appends a structural column (same semantics as LinearProgram::
-  /// add_column) and returns its index. Call resolve() afterwards.
-  int add_column(double cost, const std::vector<ColumnEntry>& entries);
+  /// Appends a structural column and returns its index. Call resolve()
+  /// afterwards. Unlike LinearProgram::add_column the entries are taken as
+  /// given: they are neither sorted nor merged, so duplicate rows must not
+  /// occur, and their order is the order ftran sums them in. Pass a column
+  /// LinearProgram has normalized to match a loaded LP's arithmetic.
+  int add_column(double cost, std::span<const ColumnEntry> entries);
 
   /// Re-optimizes after add_column calls, warm-starting from the current
   /// basis. Requires a previous successful solve().

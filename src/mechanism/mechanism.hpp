@@ -19,9 +19,9 @@ struct MechanismOptions {
   bool use_colgen = false;  ///< force the demand-oracle LP path
   /// Largest k solved by explicit enumeration; beyond it the demand-oracle
   /// path is selected automatically (mirrors PipelineOptions). The explicit
-  /// LP itself rejects k > 12, so raising this past 12 surfaces that error
-  /// instead of silently switching paths.
-  int explicit_limit = 12;
+  /// LP itself rejects k > kExplicitChannelLimit, so raising this past it
+  /// surfaces that error instead of silently switching paths.
+  int explicit_limit = kExplicitChannelLimit;
   DecompositionOptions decomposition = {};
   std::uint64_t sample_seed = 0xa11c;
 };

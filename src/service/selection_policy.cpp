@@ -20,8 +20,7 @@ std::vector<std::string> DefaultSelectionPolicy::chain(
 
   std::vector<std::string> chain;
   if (instance.is_asymmetric()) {
-    const bool explicit_ok = instance.num_channels() <=
-                             AsymmetricInstance::kExplicitChannelLimit;
+    const bool explicit_ok = instance.num_channels() <= kExplicitChannelLimit;
     if (small) chain.push_back("asymmetric-exact");
     // The Section 6 rounding is proven for unweighted per-channel graphs
     // only; on weighted instances it would reject, so skip it up front.

@@ -70,6 +70,27 @@ void mix_valuations(FingerprintHasher& hasher,
   }
 }
 
+/// Mixes every bidder's valuation support (which bundles have positive
+/// value), packed 64 bundles per mixed word; nothing beyond
+/// kExhaustiveChannels (see the structural fingerprints below).
+template <typename Instance>
+void mix_supports(FingerprintHasher& hasher, const Instance& instance) {
+  if (instance.num_channels() > kExhaustiveChannels) return;
+  for (std::size_t v = 0; v < instance.num_bidders(); ++v) {
+    std::uint64_t word = 0;
+    int filled = 0;
+    for (Bundle t = 1; t < num_bundles(instance.num_channels()); ++t) {
+      word = (word << 1) | (instance.value(v, t) > 0.0 ? 1u : 0u);
+      if (++filled == 64) {
+        hasher.mix(word);
+        word = 0;
+        filled = 0;
+      }
+    }
+    if (filled > 0) hasher.mix(word);
+  }
+}
+
 }  // namespace
 
 std::string Fingerprint::hex() const {
@@ -135,12 +156,7 @@ Fingerprint fingerprint(const AsymmetricInstance& instance) {
   for (const ConflictGraph& graph : instance.graphs()) {
     mix_graph(hasher, graph);
   }
-  // AsymmetricInstance keeps its valuations private behind valuation(v);
-  // hash them through that accessor.
-  hasher.mix(instance.num_bidders());
-  for (std::size_t v = 0; v < instance.num_bidders(); ++v) {
-    mix_valuation(hasher, instance.valuation(v), instance.num_channels());
-  }
+  mix_valuations(hasher, instance.valuations(), instance.num_channels());
   return hasher.digest();
 }
 
@@ -163,25 +179,11 @@ Fingerprint structural_fingerprint(const AuctionInstance& instance) {
   // The explicit LP emits one column per positive-value bundle
   // (solve_auction_lp skips zeros), so two instances only share a
   // constraint matrix when their valuation SUPPORTS match too -- values
-  // may differ, the zero/nonzero pattern may not. Bundles are packed 64
-  // per mixed word. Beyond kExhaustiveChannels the explicit LP refuses
+  // may differ, the zero/nonzero pattern may not. Beyond
+  // kExhaustiveChannels the explicit LP refuses
   // anyway (column generation owns those instances, and generated columns
   // carry no reusable basis), so the support is left out of the hash.
-  if (instance.num_channels() <= kExhaustiveChannels) {
-    for (std::size_t v = 0; v < instance.num_bidders(); ++v) {
-      std::uint64_t word = 0;
-      int filled = 0;
-      for (Bundle t = 1; t < num_bundles(instance.num_channels()); ++t) {
-        word = (word << 1) | (instance.value(v, t) > 0.0 ? 1u : 0u);
-        if (++filled == 64) {
-          hasher.mix(word);
-          word = 0;
-          filled = 0;
-        }
-      }
-      if (filled > 0) hasher.mix(word);
-    }
-  }
+  mix_supports(hasher, instance);
   return hasher.digest();
 }
 
@@ -203,22 +205,7 @@ Fingerprint structural_fingerprint(const AsymmetricInstance& instance) {
   // support is left out: the column pool filters zero-value seeds on
   // reuse, so a support mismatch there degrades the warm start without
   // affecting correctness.
-  if (instance.num_channels() <= kExhaustiveChannels) {
-    for (std::size_t v = 0; v < instance.num_bidders(); ++v) {
-      const Valuation& valuation = instance.valuation(v);
-      std::uint64_t word = 0;
-      int filled = 0;
-      for (Bundle t = 1; t < num_bundles(instance.num_channels()); ++t) {
-        word = (word << 1) | (valuation.value(t) > 0.0 ? 1u : 0u);
-        if (++filled == 64) {
-          hasher.mix(word);
-          word = 0;
-          filled = 0;
-        }
-      }
-      if (filled > 0) hasher.mix(word);
-    }
-  }
+  mix_supports(hasher, instance);
   return hasher.digest();
 }
 

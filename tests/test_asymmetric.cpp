@@ -1,7 +1,11 @@
 // Tests for asymmetric channels (Section 6): per-channel feasibility, the
-// 1/(2 k rho) rounding, and the Theorem 18 hardness construction.
+// 1/(2 k rho) rounding, the Theorem 18 hardness construction, and the
+// shared-graph case, where the Section-6 LP is LP (1)/(4).
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "core/asymmetric.hpp"
 #include "gen/scenario.hpp"
@@ -229,6 +233,81 @@ TEST(AsymmetricLp, DominatesSymmetricTreatment) {
   const FractionalSolution lp = solve_asymmetric_lp(instance);
   const Allocation best = best_asymmetric_rounds(instance, lp, 64, 3);
   EXPECT_GE(lp.objective, instance.welfare(best) - 1e-6);
+}
+
+/// Builds the Section-6 instance whose every channel graph is the
+/// symmetric instance's graph G and checks that both flavours build the
+/// same LP: equal master rows, equal (v, T) columns after LinearProgram
+/// normalisation, and bitwise-equal Section 2.2 prices for random duals.
+void expect_shared_graph_lp_is_symmetric_lp(const AuctionInstance& symmetric,
+                                            std::uint64_t seed) {
+  const int k = symmetric.num_channels();
+  const std::size_t n = symmetric.num_bidders();
+  const AsymmetricInstance shared(
+      std::vector<ConflictGraph>(static_cast<std::size_t>(k),
+                                 symmetric.graph()),
+      symmetric.order(), symmetric.valuations(), symmetric.rho());
+  ASSERT_EQ(shared.rho(), symmetric.rho());
+
+  lp::LinearProgram a = build_master_rows(symmetric);
+  lp::LinearProgram b = build_master_rows(shared);
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  ASSERT_EQ(a.num_rows(), n * static_cast<std::size_t>(k) + n);
+  for (std::size_t row = 0; row < a.num_rows(); ++row) {
+    EXPECT_EQ(a.row_sense(row), b.row_sense(row)) << "row " << row;
+    EXPECT_EQ(a.rhs(row), b.rhs(row)) << "row " << row;
+  }
+
+  for (std::size_t v = 0; v < n; ++v) {
+    for (Bundle t = 1; t < num_bundles(k); ++t) {
+      const int bidder = static_cast<int>(v);
+      const int ca = a.add_column(0.0, bundle_column(symmetric, bidder, t));
+      const int cb = b.add_column(0.0, bundle_column(shared, bidder, t));
+      const auto left = a.column(static_cast<std::size_t>(ca));
+      const auto right = b.column(static_cast<std::size_t>(cb));
+      ASSERT_EQ(left.size(), right.size()) << "v " << v << " T " << t;
+      for (std::size_t e = 0; e < left.size(); ++e) {
+        EXPECT_EQ(left[e].row, right[e].row);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(left[e].coeff),
+                  std::bit_cast<std::uint64_t>(right[e].coeff));
+      }
+    }
+  }
+
+  Rng rng(seed);
+  std::vector<double> duals(a.num_rows(), 0.0);
+  std::vector<double> left;
+  std::vector<double> right;
+  for (int trial = 0; trial < 8; ++trial) {
+    for (double& dual : duals) {
+      dual = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 7.0);
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+      bidder_prices(symmetric, duals, v, left);
+      bidder_prices(shared, duals, v, right);
+      ASSERT_EQ(left.size(), static_cast<std::size_t>(k));
+      ASSERT_EQ(right.size(), static_cast<std::size_t>(k));
+      for (std::size_t j = 0; j < left.size(); ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(left[j]),
+                  std::bit_cast<std::uint64_t>(right[j]))
+            << "v " << v << " channel " << j;
+      }
+    }
+  }
+}
+
+TEST(SharedGraphLp, UnweightedSection6LpIsTheSymmetricLp) {
+  const AuctionInstance instance =
+      gen::make_disk_auction(10, 3, gen::ValuationMix::kMixed, 61);
+  ASSERT_TRUE(instance.unweighted());
+  expect_shared_graph_lp_is_symmetric_lp(instance, 1);
+}
+
+TEST(SharedGraphLp, WeightedSection6LpIsTheSymmetricLp) {
+  const AuctionInstance instance = gen::make_physical_auction(
+      9, 3, PowerScheme::kUniform, gen::ValuationMix::kMixed, 62);
+  ASSERT_FALSE(instance.unweighted());
+  expect_shared_graph_lp_is_symmetric_lp(instance, 2);
 }
 
 }  // namespace

@@ -100,10 +100,10 @@ TEST(AsymmetricSolvers, ChannelLimitIsSingleSourced) {
   // landed: the instance constructor accepts up to the library-wide
   // ssa::kMaxChannels (the Bundle word bound), while the EXPLICIT
   // enumeration paths (solve_asymmetric_lp and both greedies) refuse
-  // beyond AsymmetricInstance::kExplicitChannelLimit and point at
+  // beyond the library-wide ssa::kExplicitChannelLimit and point at
   // asymmetric-colgen.
   EXPECT_EQ(AsymmetricInstance::kMaxChannels, ssa::kMaxChannels);
-  EXPECT_EQ(AsymmetricInstance::kExplicitChannelLimit, 12);
+  EXPECT_EQ(ssa::kExplicitChannelLimit, 12);
 
   const auto build = [](int k) {
     std::vector<ConflictGraph> graphs(static_cast<std::size_t>(k),
@@ -115,7 +115,7 @@ TEST(AsymmetricSolvers, ChannelLimitIsSingleSourced) {
   };
 
   // k = 13 now constructs fine...
-  const AsymmetricInstance wide = build(AsymmetricInstance::kExplicitChannelLimit + 1);
+  const AsymmetricInstance wide = build(ssa::kExplicitChannelLimit + 1);
   EXPECT_EQ(wide.num_channels(), 13);
   // ...but every explicit-enumeration entry refuses it with a message
   // naming the limit and the colgen escape hatch.

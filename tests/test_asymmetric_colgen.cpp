@@ -131,12 +131,12 @@ TEST(AsymmetricColgen, WeightedGraphsAreAdmitted) {
   EXPECT_LE(report.welfare, *report.lp_upper_bound + 1e-6);
 }
 
-TEST(AsymmetricColgen, PoolWarmSolveIsPayloadIdenticalToCold) {
-  // Bank a pool from the donor, churn the valuations, then solve the
-  // variant twice: cold and pool-seeded. The reports must agree bitwise
-  // on every payload field (wire::reports_payload_equal excludes exactly
-  // the timing/diagnostic class).
-  const AsymmetricInstance donor = weighted_chain(12);
+/// Banks a pool from \p donor, churns the valuations, then solves each
+/// variant twice: cold and pool-seeded. The reports must agree bitwise on
+/// every payload field (wire::reports_payload_equal excludes exactly the
+/// timing/diagnostic class).
+void expect_pool_warm_equals_cold(const AsymmetricInstance& donor,
+                                  int variants) {
   SolveOptions options;
   options.seed = 13;
   options.pipeline.rounding_repetitions = 16;
@@ -150,7 +150,7 @@ TEST(AsymmetricColgen, PoolWarmSolveIsPayloadIdenticalToCold) {
   ASSERT_TRUE(bank.has_pool_export);
   EXPECT_FALSE(bank.pool_exported.empty());
 
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < variants; ++i) {
     const AsymmetricInstance variant = rescale_bidder(
         donor, static_cast<std::size_t>(i) % donor.num_bidders(),
         1.0 + 0.07 * static_cast<double>(i + 1));
@@ -180,6 +180,22 @@ TEST(AsymmetricColgen, PoolWarmSolveIsPayloadIdenticalToCold) {
         make_solver("asymmetric-colgen")->solve(variant, opted_out);
     EXPECT_FALSE(forced_cold.warm_started);
     EXPECT_TRUE(wire::reports_payload_equal(forced_cold, cold));
+  }
+}
+
+TEST(AsymmetricColgen, PoolWarmSolveIsPayloadIdenticalToCold) {
+  {
+    SCOPED_TRACE("weighted chain, n = 12, k = 2");
+    expect_pool_warm_equals_cold(weighted_chain(12), 8);
+  }
+  // The churn benchmark's asymmetric shape: n = 8, k = 13, one channel
+  // past the explicit cap, lifted oracle.
+  for (const std::uint64_t seed : {3ull, 17ull, 29ull}) {
+    SCOPED_TRACE("random n = 8, k = 13, seed " + std::to_string(seed));
+    expect_pool_warm_equals_cold(
+        gen::make_random_asymmetric(8, 13, 0.3, gen::ValuationMix::kMixed,
+                                    seed),
+        4);
   }
 }
 
